@@ -1,23 +1,26 @@
-"""Adaptive coalescing window vs static windows (ISSUE 5 tentpole).
+"""Default (timer-free) coalescing vs static windows.
 
-Two SIM workloads bracket the tuning space:
+The configuration named ``adaptive`` is the transport default: no
+timer, a window flushes on the next loop turn when nothing is in
+flight and chains behind the in-flight flush otherwise.  Two SIM
+workloads bracket the tuning space:
 
 * **Idle**: one thread registering fresh taints sequentially — every
   microsecond of coalescing window is pure added latency.  Wide static
-  windows lose ~3x here; the adaptive controller must collapse its
-  window to 0 and match the best static latency.
+  windows lose ~3x here; the default arms no timer and must match the
+  best static latency.
 * **Loaded**: many sender threads, each resolving one fresh taint per
   message (the PR 3 workload).  Concurrent arrivals coalesce
   *naturally* — entries queue into the next window while a flush is in
   flight — so large static delays mostly stall the sender pipeline,
-  and moderate/zero windows win throughput.  The adaptive controller
-  must relax toward that optimum instead of over-widening, while its
-  round-trip count still shows real multi-entry coalescing.
+  and moderate/zero windows win throughput.  The default must keep
+  that throughput while its round-trip count still shows real
+  multi-entry coalescing.
 
 No static window is safe across both workloads unless it is already
-the tuned optimum; the adaptive controller has to track the best
-static choice at each extreme *without being told which extreme it is
-on*.  Results land in ``BENCH_PR5.json`` at the repository root.
+the tuned optimum; the default has to track the best static choice at
+each extreme *without being told which extreme it is on*.  Results
+land in ``BENCH_PR5.json`` at the repository root.
 Gates use best-of-``REPEATS`` and an absolute slack on top of the 5%
 relative bound to stay robust under CI scheduling noise; round-trip
 counts (deterministic-ish) back up the timing gates.
@@ -44,8 +47,8 @@ REPEATS = 3
 
 # -- idle workload ---------------------------------------------------------- #
 IDLE_MESSAGES = 150
-#: Ops to skip before measuring: the adaptive window needs ~10 flushes
-#: to decay from its 200 µs starting point to 0.
+#: Ops to skip before measuring: connection set-up and first-call
+#: warm-up stay out of the steady-state mean.
 IDLE_WARMUP = 30
 IDLE_SERVICE_TIME = 0.0002
 
@@ -58,8 +61,8 @@ _RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
 
 
 def _client(node, addresses, window_us):
-    """``window_us=None`` selects the adaptive default; a number pins
-    the classic static window."""
+    """``window_us=None`` selects the timer-free default; a number pins
+    a static window."""
     if window_us is None:
         return AsyncTaintMapClient(node, addresses)
     return AsyncTaintMapClient(node, addresses, coalesce_window_us=window_us)

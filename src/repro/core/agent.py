@@ -27,7 +27,7 @@ from repro.core.taintmap import TaintMapClient
 from repro.errors import InstrumentationError
 
 #: Recognized Taint Map transports: ``async`` (one multiplexed
-#: connection per shard + adaptive cross-message coalescing,
+#: connection per shard + timer-free cross-message coalescing,
 #: :mod:`repro.core.aio_transport` — the default) and ``pooled``
 #: (per-shard connection pools, thread-per-request — the classic
 #: opt-out via ``DISTA_TAINTMAP_TRANSPORT=pooled``).
@@ -42,12 +42,9 @@ DEFAULT_TRANSPORT = "async"
 TRANSPORT_ENV = "DISTA_TAINTMAP_TRANSPORT"
 
 #: Environment override for the coalescing window (microseconds).
-#: Pinning a window also disables adaptive tuning unless
-#: ``DISTA_COALESCE_ADAPTIVE`` explicitly re-enables it.
+#: Pinning a window replaces the timer-free default with a static
+#: timer window.
 COALESCE_WINDOW_ENV = "DISTA_COALESCE_WINDOW_US"
-
-#: Environment override for adaptive coalescing ("on"/"off").
-COALESCE_ADAPTIVE_ENV = "DISTA_COALESCE_ADAPTIVE"
 
 #: Environment override for the per-request deadline (seconds);
 #: ``0`` disables the deadline.
@@ -82,19 +79,6 @@ def resolve_coalesce_window(window_us: Optional[float] = None) -> Optional[float
         return float(window_us)
     from_env = os.environ.get(COALESCE_WINDOW_ENV)
     return float(from_env) if from_env else None
-
-
-def resolve_coalesce_adaptive(adaptive: Optional[bool] = None) -> Optional[bool]:
-    """Effective adaptive-coalescing override, or ``None`` to defer to
-    the transport's policy (adaptive unless a window is pinned)."""
-    if adaptive is not None:
-        return bool(adaptive)
-    from_env = os.environ.get(COALESCE_ADAPTIVE_ENV)
-    if not from_env:
-        return None
-    from repro.core.config import parse_switch
-
-    return parse_switch(from_env, COALESCE_ADAPTIVE_ENV)
 
 
 def resolve_request_deadline(deadline_s: Optional[float] = None) -> Optional[float]:
@@ -238,7 +222,6 @@ class DisTAAgent:
         trace=None,
         transport: Optional[str] = None,
         coalesce_window_us: Optional[float] = None,
-        coalesce_adaptive: Optional[bool] = None,
         request_deadline_s: Optional[float] = None,
         max_pending: Optional[int] = None,
         backpressure: Optional[str] = None,
@@ -271,11 +254,8 @@ class DisTAAgent:
         self.transport = transport
         #: Coalescing window (µs) for the async transport; ``None``
         #: defers to ``DISTA_COALESCE_WINDOW_US``/the transport default
-        #: (adaptive).  Pinning a window selects the static behaviour.
+        #: (timer-free).  Pinning a window selects a static timer.
         self.coalesce_window_us = coalesce_window_us
-        #: Adaptive-coalescing override; ``None`` defers to
-        #: ``DISTA_COALESCE_ADAPTIVE``, then to the transport policy.
-        self.coalesce_adaptive = coalesce_adaptive
         #: Per-request deadline (s) for the async transport; ``None``
         #: defers to ``DISTA_TAINTMAP_DEADLINE_S``/the transport
         #: default; ``0`` disables the deadline.
@@ -318,9 +298,6 @@ class DisTAAgent:
             window = resolve_coalesce_window(self.coalesce_window_us)
             if window is not None:
                 options["coalesce_window_us"] = window
-            adaptive = resolve_coalesce_adaptive(self.coalesce_adaptive)
-            if adaptive is not None:
-                options["coalesce_adaptive"] = adaptive
             deadline = resolve_request_deadline(self.request_deadline_s)
             if deadline is not None:
                 options["request_deadline_s"] = deadline

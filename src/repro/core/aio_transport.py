@@ -22,14 +22,16 @@ with ``DISTA_TAINTMAP_TRANSPORT=pooled``):
   to a configurable ``request_deadline_s`` — a wedged shard fails the
   request with :class:`~repro.errors.TaintMapDeadlineError` instead of
   hanging the wrapper thread); the loop itself never blocks on the
-  simulated kernel (endpoint I/O runs on the loop's executor, frame
-  arrival is pushed in by a per-connection reader thread).
+  simulated kernel (frames are written with a non-blocking send, and
+  only a remainder the pipe cannot take yet goes to the loop's
+  executor; frame arrival is pushed in by a per-connection reader
+  thread).
 
 * **Cross-message coalescing.**  ``gid_for``/``gids_for``/``taint_for``/
   ``taints_for`` misses from concurrent wrappers accumulate in a
   per-shard pending window, flushed when the window reaches
-  ``max_batch`` entries or when a coalescing-window timer fires — so
-  *k* small messages in flight cost one ``OP_REGISTER_MANY`` /
+  ``max_batch`` entries or by the flush policy below — so *k* small
+  messages in flight cost one ``OP_REGISTER_MANY`` /
   ``OP_LOOKUP_MANY`` round-trip per shard per window instead of *k*.
   Identical entries submitted by different messages share one wire
   entry and one future; this is safe because registration is idempotent
@@ -38,13 +40,15 @@ with ``DISTA_TAINTMAP_TRANSPORT=pooled``):
   ceiling (:data:`~repro.core.taintmap.PROTOCOL_MAX_BATCH`), so one
   oversized call can never build an unencodable frame.
 
-* **Adaptive windows.**  By default the coalescing window is tuned
-  online per shard by an AIMD controller
-  (:class:`AdaptiveWindowController`) driven by the transport's own
-  telemetry signals — window occupancy and in-flight depth: wider under
-  concurrency (more coalescing per round-trip), collapsing to 0 when
-  idle (no added latency).  Pinning ``coalesce_window_us`` explicitly
-  selects the classic static window.
+* **Timer-free flushing (group commit).**  By default a window arms no
+  timer.  With nothing in flight for its ``(shard, kind)`` it flushes
+  on the next loop turn (``call_soon``), so every key enqueued in the
+  same turn shares the flush; while a flush is in flight, new entries
+  wait in the window and go out as one flush the moment it completes.
+  Concurrency thus batches itself and a lone request pays no added
+  delay — which a timer cannot offer, because the selector rounds
+  timer waits up to whole milliseconds.  Pinning
+  ``coalesce_window_us`` selects a static timer window instead.
 
 * **Backpressure.**  Each shard's pending window (queued + in-flight
   entries) is bounded by ``max_pending``; past the high-water mark new
@@ -103,13 +107,7 @@ from repro.errors import (
 )
 from repro.runtime.kernel import Address, TcpEndpoint
 
-#: Default coalescing window (µs) — the adaptive controller's starting
-#: point, and the static window when adaptivity is disabled.  Long
-#: enough that concurrent wrapper calls on one node land in the same
-#: flush, short enough to be invisible next to a LAN round-trip.
-DEFAULT_WINDOW_US = 200.0
-
-#: Entries that force an immediate flush regardless of the timer.
+#: Entries that force an immediate flush.
 DEFAULT_MAX_BATCH = 512
 
 #: Per-shard pending-entry high-water mark (queued in windows plus
@@ -121,14 +119,6 @@ DEFAULT_MAX_PENDING = 8192
 #: thread can hang on a wedged shard.
 DEFAULT_DEADLINE_S = 30.0
 
-#: AIMD parameters for :class:`AdaptiveWindowController`.
-ADAPTIVE_CEILING_US = 5000.0
-ADAPTIVE_STEP_US = 50.0
-ADAPTIVE_DECAY = 0.5
-ADAPTIVE_RELAX = 0.75
-#: Windows decayed below this collapse to exactly 0 (idle: no delay).
-ADAPTIVE_FLOOR_US = 1.0
-
 #: Mask keeping correlation ids within their 4-byte wire field; the
 #: counter itself is unbounded (``itertools.count``) and would
 #: eventually overflow ``>I`` without it.
@@ -138,6 +128,11 @@ _REGISTER = 0
 _LOOKUP = 1
 
 _BACKPRESSURE_POLICIES = ("block", "shed")
+
+#: ``dista_coalesce_flush_total`` reasons: ``idle``/``chained`` under
+#: the default timer-free policy, ``timer`` under a pinned window,
+#: ``size``/``backpressure`` under both.
+FLUSH_REASONS = ("size", "timer", "backpressure", "idle", "chained")
 
 
 def _fail_future(future: "asyncio.Future", exc: Exception) -> None:
@@ -163,94 +158,6 @@ def mux_frame(corr: int, op: int, payload: bytes) -> bytes:
     )
 
 
-class AdaptiveWindowController:
-    """AIMD tuner for one shard's coalescing window.
-
-    Fed at every flush with the transport's own telemetry signals — the
-    flushed window's occupancy (``dista_coalesce_window_entries``) and
-    the in-flight request depth (``dista_taintmap_inflight_requests``) —
-    it steers ``window_us`` between 0 and ``ceiling_us``.  The key
-    observation: concurrent arrivals coalesce *naturally* while a
-    previous flush is in flight (they queue into the next window), so
-    added timer delay only earns its latency cost when traffic is
-    fragmenting into tiny round-trips anyway:
-
-    * **Additive increase** (``+step_us``, capped at ``ceiling_us``)
-      under genuine window pressure: a size- or backpressure-triggered
-      flush (the window filled to its cap), or a *lone-entry* timer
-      flush while ≥2 requests are already in flight — per-entry
-      round-trips despite concurrency means the window is too narrow
-      to aggregate the stream.
-    * **Gentle relaxation** (``×relax``) when a timer flush carries
-      several entries: natural batching is already working, so the
-      delay eases toward the smallest window that keeps it working.
-    * **Multiplicative decrease** (``×decay``) when idle: a lone-entry
-      timer flush with nothing else in flight is pure added latency —
-      the window halves, collapsing to exactly 0 below ``floor_us``,
-      which restores the undelayed single-request path.
-    """
-
-    __slots__ = (
-        "window_us",
-        "ceiling_us",
-        "step_us",
-        "decay",
-        "relax",
-        "floor_us",
-    )
-
-    def __init__(
-        self,
-        initial_us: float = DEFAULT_WINDOW_US,
-        ceiling_us: float = ADAPTIVE_CEILING_US,
-        step_us: float = ADAPTIVE_STEP_US,
-        decay: float = ADAPTIVE_DECAY,
-        relax: float = ADAPTIVE_RELAX,
-        floor_us: float = ADAPTIVE_FLOOR_US,
-    ):
-        self.window_us = min(max(float(initial_us), 0.0), float(ceiling_us))
-        self.ceiling_us = float(ceiling_us)
-        self.step_us = float(step_us)
-        self.decay = float(decay)
-        self.relax = float(relax)
-        self.floor_us = float(floor_us)
-
-    def on_flush(self, reason: str, entries: int, inflight: float) -> float:
-        """Observe one flushed window; returns the adjusted window."""
-        if reason != "timer" or (entries <= 1 and inflight >= 2):
-            self.window_us = min(self.window_us + self.step_us, self.ceiling_us)
-        elif entries >= 2:
-            self.window_us *= self.relax
-            if self.window_us < self.floor_us:
-                self.window_us = 0.0
-        else:
-            self.window_us *= self.decay
-            if self.window_us < self.floor_us:
-                self.window_us = 0.0
-        return self.window_us
-
-
-class _InflightCounter:
-    """Loop-confined in-flight counter: the gauge-child stand-in on
-    nodes without a metrics registry (same ``inc``/``dec``/``value``
-    surface), so the adaptive controller always has its signal."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self) -> None:
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
 class _MuxConnection:
     """One upgraded connection: correlated frames, out-of-order futures.
 
@@ -269,7 +176,10 @@ class _MuxConnection:
         self._endpoint = endpoint
         self._pending: dict[int, asyncio.Future] = {}
         self._corr = itertools.count(1)
-        self._send_lock = asyncio.Lock()
+        #: Frame bytes the pipe could not take yet, oldest first; the
+        #: head is being written by the executor.  While it is non-empty
+        #: new frames queue behind it, so frames never interleave.
+        self._unsent: deque = deque()
         self._broken: Optional[Exception] = None
         #: Optional gauge child tracking in-flight request depth.
         self._inflight = inflight
@@ -299,19 +209,43 @@ class _MuxConnection:
         self._pending[corr] = future
         if self._inflight is not None:
             self._inflight.inc()
-        frame = mux_frame(corr, op, payload)
         try:
-            # Serialized sends: two interleaved send_all calls would
-            # interleave partial writes and desynchronize framing.
-            async with self._send_lock:
-                await self._loop.run_in_executor(
-                    None, self._endpoint.send_all, frame
-                )
+            self._send(mux_frame(corr, op, payload))
         except BaseException:
             if self._pending.pop(corr, None) is not None and self._inflight is not None:
                 self._inflight.dec()
             raise
         return await future
+
+    def _send(self, frame: bytes) -> None:
+        """Write ``frame`` on the loop thread without blocking; only a
+        remainder the pipe cannot take yet is handed to the executor."""
+        if self._unsent:
+            self._unsent.append(frame)
+            return
+        sent = self._endpoint.send_nonblocking(frame)
+        if sent < len(frame):
+            self._unsent.append(frame[sent:])
+            self._send_unsent_head()
+
+    def _send_unsent_head(self) -> None:
+        self._loop.run_in_executor(
+            None, self._endpoint.send_all, self._unsent[0]
+        ).add_done_callback(self._unsent_head_sent)
+
+    def _unsent_head_sent(self, job: asyncio.Future) -> None:
+        if job.cancelled():
+            return  # loop teardown
+        exc = job.exception()
+        if exc is not None:
+            # A partly written frame desynchronizes the stream: fail
+            # every in-flight request so each can fail over.
+            self._unsent.clear()
+            self._fail_pending(exc)
+            return
+        self._unsent.popleft()
+        if self._unsent:
+            self._send_unsent_head()
 
     # -- reader thread ---------------------------------------------------- #
 
@@ -360,12 +294,16 @@ class _MuxConnection:
 class _PendingWindow:
     """One shard's accumulating batch of one kind (register or lookup)."""
 
-    __slots__ = ("entries", "timer")
+    __slots__ = ("entries", "timer", "inflight")
 
     def __init__(self) -> None:
         #: entry key (serialized taint bytes, or int GID) → result future.
         self.entries: OrderedDict = OrderedDict()
-        self.timer: Optional[asyncio.TimerHandle] = None
+        #: The armed flush: a static-window timer, or the next-turn
+        #: ``call_soon`` handle of an idle window.
+        self.timer: Optional[asyncio.Handle] = None
+        #: Flushes of this window currently on the wire.
+        self.inflight = 0
 
 
 class _ShardChannel:
@@ -401,6 +339,11 @@ class _ShardChannel:
             endpoint = await loop.run_in_executor(
                 None, self._transport._connect, address
             )
+            if self._transport._closed:
+                # close() ran during the dial and could not see this
+                # connection: never send on it, and do not leak it.
+                endpoint.close()
+                raise TaintMapError("async taint map transport is closed")
             self._connection = _MuxConnection(
                 loop, endpoint, self._transport._inflight_child
             )
@@ -431,9 +374,11 @@ class _ShardChannel:
         last_error: Optional[Exception] = None
         for _ in range(len(replicas)):
             observed_active = client._active[self._shard]
-            started = time.perf_counter()
             try:
                 connection = await self._connected()
+                # Timed from request-out, like the pooled _roundtrip: the
+                # dial and OP_MUX_HELLO upgrade are not RPC latency.
+                started = time.perf_counter()
                 status, response = await connection.request(op, payload)
             except TRANSPORT_ERRORS as exc:
                 last_error = exc
@@ -479,7 +424,6 @@ class AsyncTaintMapTransport:
         client: TaintMapClient,
         coalesce_window_us: Optional[float] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
-        coalesce_adaptive: Optional[bool] = None,
         request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
         max_pending: int = DEFAULT_MAX_PENDING,
         backpressure: str = "block",
@@ -494,14 +438,11 @@ class AsyncTaintMapTransport:
                 f"expected one of {_BACKPRESSURE_POLICIES}"
             )
         self.client = client
-        #: Adaptive by default; pinning an explicit window selects the
-        #: classic static behaviour unless ``coalesce_adaptive=True``
-        #: asks for tuning from that starting point.
-        if coalesce_adaptive is None:
-            coalesce_adaptive = coalesce_window_us is None
-        self.coalesce_adaptive = bool(coalesce_adaptive)
+        #: Static coalescing window (µs), or ``None`` for the default
+        #: timer-free policy (flush on the next loop turn when idle,
+        #: chain behind the in-flight flush when busy).
         self.coalesce_window_us = (
-            DEFAULT_WINDOW_US
+            None
             if coalesce_window_us is None
             else max(float(coalesce_window_us), 0.0)
         )
@@ -515,20 +456,11 @@ class AsyncTaintMapTransport:
         )
         self.max_pending = max_pending
         self.backpressure = backpressure
-        shard_count = len(client._shard_replicas)
-        self._controllers: Optional[list[AdaptiveWindowController]] = (
-            [
-                AdaptiveWindowController(self.coalesce_window_us)
-                for _ in range(shard_count)
-            ]
-            if self.coalesce_adaptive
-            else None
-        )
         #: Per-shard pending entries: queued in windows + handed to
         #: in-flight flushes.  Drained (and waiters woken) as flushes
         #: complete.
-        self._pending_counts = [0] * shard_count
-        self._drain_waiters: list[deque] = [deque() for _ in range(shard_count)]
+        self._pending_counts: list[int] = []
+        self._drain_waiters: list[deque] = []
         #: Entries owned by in-flight ``_flush`` tasks, so ``close()``
         #: can fail their futures too (they are in no window anymore).
         self._inflight_flushes: dict[int, OrderedDict] = {}
@@ -540,15 +472,16 @@ class AsyncTaintMapTransport:
         self._window_entries = None
         self._backpressure_total = None
         self._window_gauge = None
-        self._inflight_child = _InflightCounter()
+        self._inflight_child = None
         metrics = getattr(client, "_metrics", None)
         if metrics is not None:
             self._flush_reason = metrics.counter(
                 "dista_coalesce_flush_total",
-                "Coalescing-window flushes by trigger (size/timer/backpressure).",
+                "Coalescing-window flushes by trigger "
+                "(size/timer/backpressure/idle/chained).",
                 ("reason",),
             )
-            for reason in ("size", "timer", "backpressure"):
+            for reason in FLUSH_REASONS:
                 self._flush_reason.labels(reason=reason)
             self._window_entries = metrics.histogram(
                 "dista_coalesce_window_entries",
@@ -566,8 +499,9 @@ class AsyncTaintMapTransport:
                 self._backpressure_total.labels(action=action)
             self._window_gauge = metrics.gauge(
                 "dista_coalesce_window_us",
-                "Current coalescing window per shard in microseconds "
-                "(driven by the AIMD controller when adaptive).",
+                "Effective coalescing window per shard in microseconds "
+                "(0 under the default timer-free policy, else the pinned "
+                "static window).",
                 ("shard",),
             )
             self._inflight_child = metrics.gauge(
@@ -580,6 +514,7 @@ class AsyncTaintMapTransport:
         self._channels: list[_ShardChannel] = []
         self._windows: list[tuple[_PendingWindow, _PendingWindow]] = []
         self._closed = False
+        self._grow_state(len(client._shard_replicas))
 
     # -- lifecycle ---------------------------------------------------------- #
 
@@ -607,12 +542,12 @@ class AsyncTaintMapTransport:
         first request opens the mux connection.
         """
         while len(self._pending_counts) < shard_count:
+            if self._window_gauge is not None:
+                self._window_gauge.labels(shard=str(len(self._pending_counts))).set(
+                    self.coalesce_window_us or 0.0
+                )
             self._pending_counts.append(0)
             self._drain_waiters.append(deque())
-            if self._controllers is not None:
-                self._controllers.append(
-                    AdaptiveWindowController(self.coalesce_window_us)
-                )
         if self.loop is not None:
             while len(self._channels) < shard_count:
                 self._channels.append(_ShardChannel(self, len(self._channels)))
@@ -859,12 +794,6 @@ class AsyncTaintMapTransport:
 
     # -- coalescing windows (loop thread) ------------------------------------- #
 
-    def window_us_for(self, shard: int) -> float:
-        """The shard's current coalescing window (adaptive or static)."""
-        if self._controllers is not None:
-            return self._controllers[shard].window_us
-        return self.coalesce_window_us
-
     async def _coalesce(self, shard: int, kind: int, keys: Sequence) -> list:
         """Enqueue ``keys`` into the shard's pending window and await
         their results.  The window size-flushes **mid-insertion**, so
@@ -894,10 +823,13 @@ class AsyncTaintMapTransport:
                     self._flush_now(shard, kind, "size")
             futures.append(future)
         if window.entries and window.timer is None:
-            delay = self.window_us_for(shard) / 1e6
-            window.timer = self.loop.call_later(
-                delay, self._flush_now, shard, kind, "timer"
-            )
+            if self.coalesce_window_us is not None:
+                window.timer = self.loop.call_later(
+                    self.coalesce_window_us / 1e6, self._flush_now, shard, kind, "timer"
+                )
+            elif not window.inflight:
+                window.timer = self.loop.call_soon(self._flush_now, shard, kind, "idle")
+            # else: chained — the in-flight flush sends it on completion.
         # Shield the shared window futures: a deadline-cancelled caller
         # must not cancel entries other callers are awaiting.
         results = await asyncio.gather(
@@ -922,7 +854,8 @@ class AsyncTaintMapTransport:
                 )
             # Before parking, start draining the shard: flush both of
             # its parked windows now rather than waiting out their
-            # timers (a long window at the mark is pure queueing).
+            # timers or in-flight flushes (at the mark that is pure
+            # queueing).
             for parked_kind in (_REGISTER, _LOOKUP):
                 if self._windows[shard][parked_kind].entries:
                     self._flush_now(shard, parked_kind, "backpressure")
@@ -954,12 +887,7 @@ class AsyncTaintMapTransport:
         if not window.entries:
             return
         entries, window.entries = window.entries, OrderedDict()
-        if self._controllers is not None:
-            adjusted = self._controllers[shard].on_flush(
-                reason, len(entries), self._inflight_child.value
-            )
-            if self._window_gauge is not None:
-                self._window_gauge.labels(shard=str(shard)).set(adjusted)
+        window.inflight += 1
         if self._flush_reason is not None:
             self._flush_reason.labels(reason=reason).inc()
             self._window_entries.observe(len(entries))
@@ -986,6 +914,10 @@ class AsyncTaintMapTransport:
         finally:
             self._inflight_flushes.pop(flush_id, None)
             self._drain(shard, drained)
+            self._windows[shard][kind].inflight -= 1
+            if self.coalesce_window_us is None and not self._closed:
+                # Group commit: what queued behind this flush goes now.
+                self._flush_now(shard, kind, "chained")
 
     async def _flush_register(
         self, shard: int, entries: OrderedDict, attempts: int = 0
@@ -1088,7 +1020,6 @@ class AsyncTaintMapClient(TaintMapClient):
         cache_capacity: Optional[int] = None,
         coalesce_window_us: Optional[float] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
-        coalesce_adaptive: Optional[bool] = None,
         request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
         max_pending: int = DEFAULT_MAX_PENDING,
         backpressure: str = "block",
@@ -1099,7 +1030,6 @@ class AsyncTaintMapClient(TaintMapClient):
             self,
             coalesce_window_us,
             max_batch,
-            coalesce_adaptive=coalesce_adaptive,
             request_deadline_s=request_deadline_s,
             max_pending=max_pending,
             backpressure=backpressure,

@@ -191,10 +191,6 @@ def launch_cluster(
         agent_options["transport"] = "async" if async_on else "pooled"
     if "coalesceWindowUs" in options.extras:
         agent_options["coalesce_window_us"] = float(options.extras["coalesceWindowUs"])
-    if "coalesceAdaptive" in options.extras:
-        agent_options["coalesce_adaptive"] = parse_switch(
-            options.extras["coalesceAdaptive"], "coalesceAdaptive"
-        )
     if "taintMapDeadlineS" in options.extras:
         # 0 disables the per-request deadline entirely.
         agent_options["request_deadline_s"] = float(options.extras["taintMapDeadlineS"])

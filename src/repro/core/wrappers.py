@@ -28,6 +28,7 @@ from time import perf_counter
 from typing import Optional
 
 from repro.core import wire
+from repro.core.aio_transport import FLUSH_REASONS
 from repro.core.taintmap import TaintMapClient
 from repro.core.trace import NULL_TRACE
 from repro.errors import WireFormatError
@@ -117,10 +118,11 @@ class DisTARuntime:
             # transports — zero-valued rather than absent under pooled.
             flush = self.metrics.counter(
                 "dista_coalesce_flush_total",
-                "Coalescing-window flushes by trigger (size/timer/backpressure).",
+                "Coalescing-window flushes by trigger "
+                "(size/timer/backpressure/idle/chained).",
                 ("reason",),
             )
-            for reason in ("size", "timer", "backpressure"):
+            for reason in FLUSH_REASONS:
                 flush.labels(reason=reason)
             self.metrics.histogram(
                 "dista_coalesce_window_entries",
@@ -138,8 +140,9 @@ class DisTARuntime:
                 backpressure.labels(action=action)
             self.metrics.gauge(
                 "dista_coalesce_window_us",
-                "Current coalescing window per shard in microseconds "
-                "(driven by the AIMD controller when adaptive).",
+                "Effective coalescing window per shard in microseconds "
+                "(0 under the default timer-free policy, else the pinned "
+                "static window).",
                 ("shard",),
             )
             self.metrics.gauge(

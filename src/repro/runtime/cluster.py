@@ -39,7 +39,6 @@ class Cluster:
         taint_map_shards: int = 1,
         taint_map_transport: Optional[str] = None,
         coalesce_window_us: Optional[float] = None,
-        coalesce_adaptive: Optional[bool] = None,
         request_deadline_s: Optional[float] = None,
         overhead_budget: Optional[float] = None,
         taint_sample_every: Optional[int] = None,
@@ -77,12 +76,9 @@ class Cluster:
         if taint_map_transport is not None:
             self.agent_options.setdefault("transport", taint_map_transport)
         #: Async-transport coalescing window in microseconds (pinning a
-        #: window disables adaptive tuning unless overridden).
+        #: window replaces the timer-free default with a static timer).
         if coalesce_window_us is not None:
             self.agent_options.setdefault("coalesce_window_us", coalesce_window_us)
-        #: Async-transport adaptive-coalescing override.
-        if coalesce_adaptive is not None:
-            self.agent_options.setdefault("coalesce_adaptive", coalesce_adaptive)
         #: Async-transport per-request deadline (s); 0 disables it.
         if request_deadline_s is not None:
             self.agent_options.setdefault("request_deadline_s", request_deadline_s)

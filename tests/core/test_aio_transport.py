@@ -12,7 +12,6 @@ import pytest
 from repro.core.agent import DisTAAgent, resolve_transport
 from repro.core.aio_transport import (
     DEFAULT_MAX_BATCH,
-    DEFAULT_WINDOW_US,
     AsyncTaintMapClient,
     mux_frame,
 )
@@ -212,6 +211,30 @@ class TestAsyncClientApi:
         _, _, server, node = single
         with pytest.raises(TaintMapError, match="max_batch"):
             AsyncTaintMapClient(node, server.address, max_batch=0)
+
+    def test_first_request_latency_excludes_connect(self, single, monkeypatch):
+        """``dista_taintmap_rpc_seconds`` times request-out to reply-in on
+        both transports: the dial and mux upgrade of a first request are
+        not RPC latency."""
+        _, _, server, node = single
+        client = AsyncTaintMapClient(node, server.address)
+        dial = client.transport._connect
+        dial_s = 0.3
+
+        def slow_dial(address):
+            time.sleep(dial_s)
+            return dial(address)
+
+        observed = []
+        monkeypatch.setattr(client.transport, "_connect", slow_dial)
+        monkeypatch.setattr(
+            client, "_observe_rpc", lambda op, elapsed: observed.append(elapsed)
+        )
+        started = time.perf_counter()
+        client.gid_for(node.tree.taint_for_tag("first"))
+        assert time.perf_counter() - started >= dial_s  # the dial happened
+        assert len(observed) == 1 and observed[0] < dial_s
+        client.close()
 
 
 class TestCoalescing:
@@ -487,8 +510,8 @@ class TestTransportSelection:
         with Cluster(Mode.DISTA) as cluster:
             node = cluster.add_node("n1")
             assert isinstance(node.taintmap, AsyncTaintMapClient)
-            # Promotion default: adaptive coalescing on, deadline armed.
-            assert node.taintmap.transport.coalesce_adaptive
+            # Default: timer-free coalescing (no pinned window), deadline armed.
+            assert node.taintmap.transport.coalesce_window_us is None
             assert node.taintmap.transport.request_deadline_s is not None
 
     def test_env_var_opts_out_to_pooled(self, monkeypatch):

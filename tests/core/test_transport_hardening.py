@@ -2,7 +2,8 @@
 16-bit batch-count overflow (protocol chunking + mid-insertion size
 flush), shutdown with an in-flight flush, per-request deadlines on a
 stalled shard, fresh broken-connection errors, correlation-id wrap,
-backpressure policies, and adaptive coalescing-window convergence.
+backpressure policies, the timer-free group-commit flush policy, and
+the non-blocking send path with its executor fallback.
 """
 
 import asyncio
@@ -14,10 +15,10 @@ import time
 import pytest
 
 from repro.core.aio_transport import (
-    ADAPTIVE_STEP_US,
-    AdaptiveWindowController,
     AsyncTaintMapClient,
+    _MuxConnection,
     _REGISTER,
+    mux_frame,
 )
 from repro.core.taintmap import (
     OP_REGISTER,
@@ -170,6 +171,48 @@ class TestShutdownWithInflightFlush:
         # flush draining afterwards must not die with IndexError.
         client.transport._drain(0, 0)
         client.close()  # idempotent
+        server.stop()
+
+    def test_close_during_dial_leaves_no_open_connection(self, monkeypatch):
+        """A flush whose dial completes after ``close()`` must close the
+        fresh endpoint instead of sending on it: shutdown could not see
+        that connection, so it would otherwise stay open and hold
+        ``close()`` until the shard answered."""
+        kernel = SimKernel("dial-close-test")
+        kernel.register_node(TAINT_MAP_IP)
+        server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, service_time=3.0)
+        server.start()
+        node = _node(kernel, SimFileSystem())
+        client = AsyncTaintMapClient(node, server.address)
+        dial = client.transport._connect
+        dialing = threading.Event()
+        endpoints = []
+
+        def slow_dial(address):
+            dialing.set()
+            time.sleep(0.3)
+            endpoints.append(dial(address))
+            return endpoints[-1]
+
+        monkeypatch.setattr(client.transport, "_connect", slow_dial)
+        errors = []
+
+        def register():
+            try:
+                client.gid_for(node.tree.taint_for_tag("dialing"))
+            except Exception as exc:  # noqa: BLE001 - recorded for asserts
+                errors.append(exc)
+
+        thread = threading.Thread(target=register, daemon=True)
+        thread.start()
+        assert dialing.wait(5)
+        started = time.monotonic()
+        client.close()
+        assert time.monotonic() - started < 2.0
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert errors and isinstance(errors[0], TaintMapError)
+        assert endpoints and endpoints[0].closed
         server.stop()
 
 
@@ -360,69 +403,159 @@ class TestBackpressure:
         client.close()
 
 
-class TestAdaptiveWindow:
-    def test_controller_grows_under_pressure_and_decays_to_zero(self):
-        controller = AdaptiveWindowController(initial_us=200.0)
-        assert controller.on_flush("size", 2, 0.0) == 250.0  # window filled
-        assert controller.on_flush("backpressure", 3, 1.0) == 300.0
-        assert controller.on_flush("timer", 1, 3.0) == 350.0  # fragmenting
-        # Multi-entry timer flush: natural batching already works, so the
-        # window relaxes instead of widening further.
-        assert controller.on_flush("timer", 8, 0.0) == 350.0 * 0.75
-        window = controller.window_us
-        for _ in range(12):  # idle: lone timer flushes, nothing in flight
-            window = controller.on_flush("timer", 1, 0.0)
-        assert window == 0.0  # collapsed below the floor to exactly 0
-        assert controller.on_flush("timer", 1, 2.0) == ADAPTIVE_STEP_US
-        ceiling = controller.ceiling_us
-        for _ in range(1000):
-            controller.on_flush("size", 64, 8.0)
-        assert controller.window_us == ceiling  # additive growth is capped
-
-    def test_adaptive_defaults_follow_window_pinning(self, single):
+class TestTimerFreeCoalescing:
+    def test_sequential_default_path_arms_no_timer(self, single, monkeypatch):
+        """Idle traffic flushes on the next loop turn: no loop timer, so
+        no millisecond-rounded selector wait per request.  A pinned
+        window still arms its static timer (the spy's control)."""
         _, _, server, node = single
-        adaptive = AsyncTaintMapClient(node, server.address)
-        pinned = AsyncTaintMapClient(node, server.address, coalesce_window_us=150.0)
-        forced = AsyncTaintMapClient(
-            node, server.address, coalesce_window_us=150.0, coalesce_adaptive=True
-        )
-        try:
-            assert adaptive.transport.coalesce_adaptive
-            assert not pinned.transport.coalesce_adaptive
-            assert pinned.transport.window_us_for(0) == 150.0
-            assert forced.transport.coalesce_adaptive
-            assert forced.transport.window_us_for(0) == 150.0
-        finally:
-            adaptive.close()
-            pinned.close()
-            forced.close()
+        armed = []
 
-    def test_window_converges_with_the_load_shape(self, single):
-        """Burst pressure widens the window; going idle collapses it."""
-        _, _, server, node = single
-        client = AsyncTaintMapClient(
-            node,
-            server.address,
-            coalesce_window_us=2000.0,
-            coalesce_adaptive=True,
-            max_batch=2,
-        )
-        transport = client.transport
-        # Step up: a 4-call burst overfills the 2-entry window twice,
-        # producing two size flushes — genuine window pressure — each
-        # widening the window by one step.
-        calls = [
-            (0, OP_REGISTER, serialize_tags(node.tree.taint_for_tag(f"load{i}").tags))
-            for i in range(4)
-        ]
-        transport.submit_many(calls)
-        assert transport.window_us_for(0) == 2000.0 + 2 * ADAPTIVE_STEP_US
-        # Step down: sequential lone registrations are idle traffic;
-        # the window halves per flush until it collapses to 0.
-        for i in range(16):
-            client.gid_for(node.tree.taint_for_tag(f"idle{i}"))
-        assert transport.window_us_for(0) == 0.0
+        def spy_on(transport):
+            loop = transport._ensure_loop()
+            real_call_later = loop.call_later
+
+            def call_later(delay, *args, **kwargs):
+                armed.append(delay)
+                return real_call_later(delay, *args, **kwargs)
+
+            monkeypatch.setattr(loop, "call_later", call_later)
+
+        client = AsyncTaintMapClient(node, server.address, cache_enabled=False)
+        spy_on(client.transport)
+        for i in range(8):
+            gid = client.gid_for(node.tree.taint_for_tag(f"seq{i}"))
+            assert {t.tag for t in client.taint_for(gid).tags} == {f"seq{i}"}
+        assert armed == []
+        assert client.requests_sent == 16
         client.close()
+
+        pinned = AsyncTaintMapClient(
+            node, server.address, cache_enabled=False, coalesce_window_us=0.0
+        )
+        spy_on(pinned.transport)
+        pinned.gid_for(node.tree.taint_for_tag("pinned"))
+        assert armed == [0.0]
+        pinned.close()
+
+    def test_arrivals_during_held_flush_chain_into_one_flush(self):
+        """Callers arriving while a flush is held in flight wait in the
+        window and go out together when it completes."""
+        kernel = SimKernel("chain-test")
+        kernel.register_node(TAINT_MAP_IP)
+        server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, service_time=0.5)
+        server.start()
+        node = _node(kernel, SimFileSystem())
+        client = AsyncTaintMapClient(node, server.address, cache_enabled=False)
+        transport = client.transport
+        workers = 12
+        gids = [None] * (workers + 1)
+
+        def register(i):
+            gids[i] = client.gid_for(node.tree.taint_for_tag(f"chain{i}"))
+
+        threads = [threading.Thread(target=register, args=(0,), daemon=True)]
+        threads[0].start()
+        assert _wait_until(lambda: transport._inflight_flushes)
+        for i in range(1, workers + 1):
+            threads.append(threading.Thread(target=register, args=(i,), daemon=True))
+            threads[-1].start()
+        assert _wait_until(lambda: transport._pending_counts[0] == workers + 1)
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(set(gids)) == workers + 1 and all(gid > 0 for gid in gids)
+        # The held flush plus one chained flush for every arrival.
+        assert client.requests_sent <= 2
+        assert server.stats.register_entries == workers + 1
+        client.close()
+        server.stop()
+
+    def test_close_fails_held_chained_window_promptly(self):
+        """``close()`` fails both the held in-flight flush and the
+        window chained behind it, long before the shard would answer."""
+        kernel = SimKernel("chain-close-test")
+        kernel.register_node(TAINT_MAP_IP)
+        server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, service_time=3.0)
+        server.start()
+        node = _node(kernel, SimFileSystem())
+        client = AsyncTaintMapClient(node, server.address, cache_enabled=False)
+        transport = client.transport
+        errors = []
+
+        def register(i):
+            try:
+                client.gid_for(node.tree.taint_for_tag(f"held{i}"))
+            except Exception as exc:  # noqa: BLE001 - recorded for asserts
+                errors.append(exc)
+
+        threads = [threading.Thread(target=register, args=(0,), daemon=True)]
+        threads[0].start()
+
+        def held_on_the_wire():
+            channels = transport._channels
+            connection = channels[0]._connection if channels else None
+            return connection is not None and connection._pending
+
+        assert _wait_until(held_on_the_wire)
+        for i in range(1, 4):
+            threads.append(threading.Thread(target=register, args=(i,), daemon=True))
+            threads[-1].start()
+        assert _wait_until(
+            lambda: len(transport._windows[0][_REGISTER].entries) == 3
+        )
+        started = time.monotonic()
+        client.close()
+        for thread in threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive(), "submitter still blocked after close()"
+        assert time.monotonic() - started < 2.0
+        assert len(errors) == 4
+        assert all(isinstance(exc, TaintMapError) for exc in errors)
+        server.stop()
+
+    def test_send_overflowing_the_pipe_completes_via_executor(self):
+        """A frame larger than the pipe is written partly on the loop
+        thread; the remainder goes to the executor while the loop keeps
+        running, and frames queued behind it are never interleaved."""
+        kernel = SimKernel("overflow-test")
+        kernel.register_node(TAINT_MAP_IP)
+        kernel.register_node("10.0.0.1")
+        listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
+        client_end = kernel.connect("10.0.0.1", (TAINT_MAP_IP, TAINT_MAP_PORT))
+        server_end = listener.accept(timeout=5)
+        loop = asyncio.new_event_loop()
+        loop_thread = threading.Thread(target=loop.run_forever, daemon=True)
+        loop_thread.start()
+        try:
+            connection = _MuxConnection(loop, client_end)
+            big = bytes(range(256)) * 1024  # 256 KiB: four pipes' worth
+            first = asyncio.run_coroutine_threadsafe(
+                connection.request(OP_REGISTER, big), loop
+            )
+            # Nobody reads yet: the remainder is parked in the executor,
+            # and the loop still serves other work.
+            assert _wait_until(lambda: connection._unsent)
+            asyncio.run_coroutine_threadsafe(asyncio.sleep(0), loop).result(1)
+            second = asyncio.run_coroutine_threadsafe(
+                connection.request(OP_REGISTER, b"small"), loop
+            )
+            assert _wait_until(lambda: len(connection._unsent) == 2)
+            expected = mux_frame(1, OP_REGISTER, big) + mux_frame(2, OP_REGISTER, b"small")
+            assert _recv_exact(server_end, len(expected)) == expected
+            for corr in (2, 1):  # answer out of order
+                server_end.send_all(
+                    struct.pack(">IBI", corr, STATUS_OK, 4) + struct.pack(">I", corr)
+                )
+            assert second.result(5) == (STATUS_OK, struct.pack(">I", 2))
+            assert first.result(5) == (STATUS_OK, struct.pack(">I", 1))
+            assert _wait_until(lambda: not connection._unsent)
+        finally:
+            client_end.close()
+            server_end.close()
+            loop.call_soon_threadsafe(loop.stop)
+            loop_thread.join(timeout=5)
+            loop.close()
 
 
 class TestLaunchAndEnvKnobs:
@@ -431,8 +564,8 @@ class TestLaunchAndEnvKnobs:
 
         assert parse_switch("on") and parse_switch("TRUE") and parse_switch("1")
         assert not parse_switch("off") and not parse_switch("no")
-        with pytest.raises(ValueError, match="coalesceAdaptive"):
-            parse_switch("maybe", "coalesceAdaptive")
+        with pytest.raises(ValueError, match="taintMapAsync"):
+            parse_switch("maybe", "taintMapAsync")
 
     def test_launch_extras_configure_hardening_knobs(self, monkeypatch):
         from repro.core.launch import launch_cluster
@@ -441,18 +574,16 @@ class TestLaunchAndEnvKnobs:
         cluster = launch_cluster(
             Mode.DISTA,
             "taintSources=s.spec,taintSinks=k.spec,"
-            "coalesceAdaptive=off,coalesceWindowUs=350,"
+            "coalesceWindowUs=350,"
             "taintMapDeadlineS=2.5,coalesceMaxPending=64,"
             "coalesceBackpressure=shed",
             sources_text="source:ignored#m\n",
             sinks_text="sink:ignored#m\n",
         )
-        assert cluster.agent_options["coalesce_adaptive"] is False
         assert cluster.agent_options["request_deadline_s"] == 2.5
         with cluster:
             node = cluster.add_node("n1")
             transport = node.taintmap.transport
-            assert not transport.coalesce_adaptive
             assert transport.coalesce_window_us == 350.0
             assert transport.request_deadline_s == 2.5
             assert transport.max_pending == 64
@@ -479,11 +610,9 @@ class TestLaunchAndEnvKnobs:
         _, _, server, node = single
         monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
         monkeypatch.setenv("DISTA_COALESCE_WINDOW_US", "450")
-        monkeypatch.setenv("DISTA_COALESCE_ADAPTIVE", "off")
         monkeypatch.setenv("DISTA_TAINTMAP_DEADLINE_S", "0")
         runtime = DisTAAgent(server.address).attach(node)
         transport = runtime.client.transport
         assert transport.coalesce_window_us == 450.0
-        assert not transport.coalesce_adaptive
         assert transport.request_deadline_s is None  # 0 disables
         DisTAAgent(server.address).detach(node)
