@@ -1,8 +1,8 @@
 """Default (timer-free) coalescing vs static windows.
 
 The configuration named ``adaptive`` is the transport default: no
-timer, a window flushes on the next loop turn when nothing is in
-flight and chains behind the in-flight flush otherwise.  Two SIM
+timer, a window flushes at once on the arriving caller's thread when
+nothing is in flight and chains behind the in-flight flush otherwise.  Two SIM
 workloads bracket the tuning space:
 
 * **Idle**: one thread registering fresh taints sequentially — every

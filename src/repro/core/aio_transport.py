@@ -1,78 +1,72 @@
-"""Async multiplexed Taint Map transport with cross-message coalescing.
+"""Multiplexed Taint Map transport with caller-runs cross-message coalescing.
 
 The pooled :class:`~repro.core.taintmap.TaintMapClient` burns one
-blocking thread-and-connection per in-flight request — exactly the
-per-request overhead the Taint Rabbit line of work attributes to slow
-generic paths.  This module decouples the traced execution from the
-tracking traffic instead, and is the **default transport** (opt out
-with ``DISTA_TAINTMAP_TRANSPORT=pooled``):
+blocking connection per in-flight request and cannot batch across
+messages.  This module multiplexes and coalesces instead, and is the
+**default transport** (opt out with ``DISTA_TAINTMAP_TRANSPORT=pooled``).
+It starts no thread: the wrapper threads that need a Taint Map answer
+do the transport's work themselves.
 
 * **One long-lived connection per shard.**  The client upgrades each
   connection with :data:`~repro.core.taintmap.OP_MUX_HELLO`; after the
   acknowledgement every frame carries a 4-byte **correlation id** in
-  front of the *unchanged* sync frame bytes, so thousands of requests
-  can be in flight at once and responses resolve futures out of order.
-  The inner frames — and every payload encoding: taint serialization,
-  batch formats, GID packing — are byte-identical to the sync protocol;
-  the server dispatches both through the same ``_handle``.
-
-* **A background event loop.**  Each client owns one asyncio loop on a
-  daemon thread.  Sync callers (the JNI wrappers) submit work with
-  ``run_coroutine_threadsafe`` and block only on their own future (up
-  to a configurable ``request_deadline_s`` — a wedged shard fails the
-  request with :class:`~repro.errors.TaintMapDeadlineError` instead of
-  hanging the wrapper thread); the loop itself never blocks on the
-  simulated kernel (frames are written with a non-blocking send, and
-  only a remainder the pipe cannot take yet goes to the loop's
-  executor; frame arrival is pushed in by a per-connection reader
-  thread).
+  front of the *unchanged* sync frame bytes, so many requests can be in
+  flight at once and replies resolve out of order.  The inner frames —
+  and every payload encoding: taint serialization, batch formats, GID
+  packing — are byte-identical to the sync protocol; the server
+  dispatches both through the same ``_handle``.
 
 * **Cross-message coalescing.**  ``gid_for``/``gids_for``/``taint_for``/
   ``taints_for`` misses from concurrent wrappers accumulate in a
-  per-shard pending window, flushed when the window reaches
-  ``max_batch`` entries or by the flush policy below — so *k* small
-  messages in flight cost one ``OP_REGISTER_MANY`` /
-  ``OP_LOOKUP_MANY`` round-trip per shard per window instead of *k*.
-  Identical entries submitted by different messages share one wire
-  entry and one future; this is safe because registration is idempotent
+  per-shard pending window, so *k* small messages in flight cost one
+  ``OP_REGISTER_MANY`` / ``OP_LOOKUP_MANY`` round-trip per shard per
+  window instead of *k*.  Identical keys submitted by different messages
+  share one wire entry; this is safe because registration is idempotent
   (same taint ⇒ same GID) and lookup is read-only.  Windows size-flush
-  **mid-insertion** and flushes chunk at the 16-bit protocol batch
-  ceiling (:data:`~repro.core.taintmap.PROTOCOL_MAX_BATCH`), so one
-  oversized call can never build an unencodable frame.
+  **mid-insertion** at ``max_batch``, which is clamped to the 16-bit
+  protocol batch ceiling (:data:`~repro.core.taintmap.PROTOCOL_MAX_BATCH`),
+  so no window can build an unencodable frame.
 
-* **Timer-free flushing (group commit).**  By default a window arms no
-  timer.  With nothing in flight for its ``(shard, kind)`` it flushes
-  on the next loop turn (``call_soon``), so every key enqueued in the
-  same turn shares the flush; while a flush is in flight, new entries
-  wait in the window and go out as one flush the moment it completes.
-  Concurrency thus batches itself and a lone request pays no added
-  delay — which a timer cannot offer, because the selector rounds
-  timer waits up to whole milliseconds.  Pinning
-  ``coalesce_window_us`` selects a static timer window instead.
+* **Caller-runs group commit.**  A caller whose ``(shard, kind)`` window
+  has no flush in flight sends it at once on its own thread (reason
+  ``idle``); every key of one ``gids_for``/``taints_for`` call shares
+  that flush.  While a flush is in flight, new entries wait in the
+  window, and when it completes one of the waiting callers sends what
+  accumulated (``chained``).  Concurrency thus batches itself and a lone
+  request pays no added delay.  Pinning ``coalesce_window_us`` makes the
+  flushing caller wait out a static window first (``timer``).
 
-* **Backpressure.**  Each shard's pending window (queued + in-flight
-  entries) is bounded by ``max_pending``; past the high-water mark new
-  entries either **block** until the shard drains (default) or are
-  **shed** with :class:`~repro.errors.TaintMapBackpressureError`, both
-  counted in ``dista_coalesce_backpressure_total``.
+* **Replies are read by the callers that wait for them.**  Any caller
+  with a request on a connection may take that connection's read role:
+  it reads frames, settles the requests they answer (its own and
+  others'), and hands the role back once its own answer is in or its
+  ``request_deadline_s`` fires (a wedged shard then fails the caller
+  with :class:`~repro.errors.TaintMapDeadlineError`; the other callers
+  of the same batch keep waiting on their own deadlines).  The server
+  writes each reply before it reads the next request, so a caller whose
+  frame does not fit the pipe keeps the replies draining while it
+  writes.  ``submit_many`` sends every shard's frame before it waits,
+  so a batch spanning shards costs one round-trip time.
 
-* **Failover with in-flight futures.**  Replica rotation composes per
-  shard exactly as in the pooled client: a connection that dies fails
-  every pending future with a transport error, and each affected
-  request retries on the shard's next replica (idempotency makes the
-  retry safe).  Semantic errors (``STATUS_*``) never fail over.
+* **Backpressure.**  Each shard's pending entries (queued + in flight)
+  are bounded by ``max_pending``; past the high-water mark new entries
+  either **block** until the shard drains (default) or are **shed**
+  with :class:`~repro.errors.TaintMapBackpressureError`, both counted in
+  ``dista_coalesce_backpressure_total``.
+
+* **Failover with in-flight requests.**  Replica rotation composes per
+  shard exactly as in the pooled client: a connection that dies hands
+  every request on it to the shard's next replica (idempotency makes
+  the retry safe).  Semantic errors (``STATUS_*``) never fail over.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import itertools
 import struct
 import threading
 import time
-from collections import OrderedDict, deque
-from itertools import islice
+from collections import OrderedDict
 from typing import Optional, Sequence, Union
 
 from repro.core.taintmap import (
@@ -99,6 +93,7 @@ from repro.core.taintmap import (
 )
 from repro.errors import (
     PipeClosed,
+    SimTimeout,
     TaintMapBackpressureError,
     TaintMapDeadlineError,
     TaintMapError,
@@ -111,7 +106,7 @@ from repro.runtime.kernel import Address, TcpEndpoint
 DEFAULT_MAX_BATCH = 512
 
 #: Per-shard pending-entry high-water mark (queued in windows plus
-#: handed to in-flight flushes) before backpressure engages.
+#: carried by in-flight requests) before backpressure engages.
 DEFAULT_MAX_PENDING = 8192
 
 #: Default wall-clock deadline for one ``submit``/``submit_many`` (s).
@@ -124,27 +119,23 @@ DEFAULT_DEADLINE_S = 30.0
 #: eventually overflow ``>I`` without it.
 _CORR_MASK = 0xFFFFFFFF
 
+#: Reply frame head: ``corr:4 | status:1 | len:4``.
+_REPLY_HEAD = struct.Struct(">IBI")
+
+#: Bytes asked of the pipe per read by a connection's read-role holder.
+_READ_CHUNK = 256 * 1024
+
 _REGISTER = 0
 _LOOKUP = 1
 
 _BACKPRESSURE_POLICIES = ("block", "shed")
 
+_CLOSED = "async taint map transport is closed"
+
 #: ``dista_coalesce_flush_total`` reasons: ``idle``/``chained`` under
-#: the default timer-free policy, ``timer`` under a pinned window,
+#: the default group-commit policy, ``timer`` under a pinned window,
 #: ``size``/``backpressure`` under both.
 FLUSH_REASONS = ("size", "timer", "backpressure", "idle", "chained")
-
-
-def _fail_future(future: "asyncio.Future", exc: Exception) -> None:
-    """Fail a future whose consumer may already be gone (cancelled by a
-    deadline, or torn down by ``close()``): immediately mark the
-    exception retrieved so the event loop doesn't log ``exception was
-    never retrieved`` from the future's finalizer.  A consumer that is
-    still awaiting gets the exception exactly as with a plain
-    ``set_exception``."""
-    if not future.done():
-        future.set_exception(exc)
-        future.exception()
 
 
 def mux_frame(corr: int, op: int, payload: bytes) -> bytes:
@@ -158,265 +149,175 @@ def mux_frame(corr: int, op: int, payload: bytes) -> bytes:
     )
 
 
-class _MuxConnection:
-    """One upgraded connection: correlated frames, out-of-order futures.
+class _Entry:
+    """One key's pending result, shared by every caller that submitted
+    the key while it sat in the same window."""
 
-    All state except the reader thread is confined to the event loop
-    thread; the reader pushes completed frames in with
-    ``call_soon_threadsafe``.
-    """
+    __slots__ = ("key", "shard", "kind", "request", "done", "value", "error")
+
+    def __init__(self, key, shard: int, kind: Optional[int]):
+        self.key = key
+        self.shard = shard
+        self.kind = kind
+        #: The request carrying this entry; ``None`` while it is queued.
+        self.request: Optional[_Request] = None
+        self.done = False
+        self.value = None
+        self.error: Optional[BaseException] = None
+
+    def settle(self, value=None, error: Optional[BaseException] = None) -> None:
+        if not self.done:
+            self.value, self.error, self.done = value, error, True
+
+
+class _Window:
+    """One shard's accumulating batch of one kind (register or lookup)."""
+
+    __slots__ = ("entries", "due", "chained", "inflight")
+
+    def __init__(self) -> None:
+        #: entry key (serialized taint bytes, or int GID) → :class:`_Entry`.
+        self.entries: OrderedDict = OrderedDict()
+        #: Pinned-window policy: when the window flushes (monotonic s).
+        self.due = 0.0
+        #: Its first entry arrived while a flush was in flight.
+        self.chained = False
+        #: This window's requests currently on the wire.
+        self.inflight: list[_Request] = []
+
+
+class _Request:
+    """One frame's worth of entries: the wire round-trip of a flushed
+    window (or of a re-routed or pass-through batch), kept across
+    replica failover and partial retries."""
+
+    __slots__ = (
+        "shard", "kind", "entries", "window", "counted", "op", "payload",
+        "tries", "attempts", "observed_active", "started", "conn",
+    )
 
     def __init__(
         self,
-        loop: asyncio.AbstractEventLoop,
-        endpoint: TcpEndpoint,
-        inflight=None,
+        shard: int,
+        kind: Optional[int],
+        entries: OrderedDict,
+        window: Optional[_Window] = None,
+        op: Optional[int] = None,
+        payload: bytes = b"",
+        attempts: int = 0,
     ):
-        self._loop = loop
-        self._endpoint = endpoint
-        self._pending: dict[int, asyncio.Future] = {}
+        self.shard = shard
+        self.kind = kind
+        self.entries = entries
+        #: The window whose in-flight slot and pending budget this
+        #: request holds until it settles.
+        self.window = window
+        self.counted = len(entries) if window is not None else 0
+        if kind == _REGISTER:
+            op, payload = OP_REGISTER_MANY, _pack_batch_register(list(entries))
+        elif kind == _LOOKUP:
+            op, payload = OP_LOOKUP_MANY, _pack_batch_lookup(list(entries))
+        self.op = op
+        self.payload = payload
+        #: Replicas that failed this request (failover budget).
+        self.tries = 0
+        #: Stale-ring re-routes behind this request.
+        self.attempts = attempts
+        self.observed_active = 0
+        self.started = 0.0
+        self.conn: Optional[_MuxConnection] = None
+        for entry in entries.values():
+            entry.request = self
+            entry.shard = shard
+
+
+class _MuxConnection:
+    """One upgraded connection: correlated frames, out-of-order replies.
+
+    ``pending`` and the flags are guarded by the transport lock; frames
+    are written under ``send_lock`` so they never interleave, and only
+    the caller holding the read role (``reading``) touches the receive
+    buffer.
+    """
+
+    def __init__(self, endpoint: TcpEndpoint, shard: int):
+        self.endpoint = endpoint
+        self.shard = shard
+        self.pending: dict[int, _Request] = {}
         self._corr = itertools.count(1)
-        #: Frame bytes the pipe could not take yet, oldest first; the
-        #: head is being written by the executor.  While it is non-empty
-        #: new frames queue behind it, so frames never interleave.
-        self._unsent: deque = deque()
-        self._broken: Optional[Exception] = None
-        #: Optional gauge child tracking in-flight request depth.
-        self._inflight = inflight
-        threading.Thread(
-            target=self._read_loop, name="taintmap-mux-reader", daemon=True
-        ).start()
+        self.send_lock = threading.Lock()
+        self.reading = False
+        self.broken: Optional[Exception] = None
+        self._rx = bytearray()
 
-    @property
-    def broken(self) -> bool:
-        return self._broken is not None
-
-    async def request(self, op: int, payload: bytes) -> tuple[int, bytes]:
-        """Send one frame, await its correlated response (any order)."""
-        if self._broken is not None:
+    def correlate(self, request: _Request) -> int:
+        """Allocate a correlation id for ``request`` (transport lock held)."""
+        if self.broken is not None:
             # A fresh exception per caller: re-raising the one cached
             # instance would cross-contaminate tracebacks between
             # unrelated requests (and mutate the original's context).
             raise TaintMapTransportError(
-                f"taint map mux connection is broken: {self._broken}"
-            ) from self._broken
+                f"taint map mux connection is broken: {self.broken}"
+            ) from self.broken
         corr = next(self._corr) & _CORR_MASK
         # After a 32-bit wrap a fresh id can collide with one still in
-        # flight; overwriting its future would leave that caller hanging.
-        while corr in self._pending:
+        # flight; overwriting its request would strand its callers.
+        while corr in self.pending:
             corr = next(self._corr) & _CORR_MASK
-        future = self._loop.create_future()
-        self._pending[corr] = future
-        if self._inflight is not None:
-            self._inflight.inc()
+        self.pending[corr] = request
+        request.conn = self
+        return corr
+
+    def read_frames(self, timeout: Optional[float]) -> list[tuple[int, int, bytes]]:
+        """One pipe read (read role only): the frames it completes,
+        ``[]`` when ``timeout`` passes first.  A partial frame stays
+        buffered for the next reader."""
         try:
-            self._send(mux_frame(corr, op, payload))
-        except BaseException:
-            if self._pending.pop(corr, None) is not None and self._inflight is not None:
-                self._inflight.dec()
-            raise
-        return await future
-
-    def _send(self, frame: bytes) -> None:
-        """Write ``frame`` on the loop thread without blocking; only a
-        remainder the pipe cannot take yet is handed to the executor."""
-        if self._unsent:
-            self._unsent.append(frame)
-            return
-        sent = self._endpoint.send_nonblocking(frame)
-        if sent < len(frame):
-            self._unsent.append(frame[sent:])
-            self._send_unsent_head()
-
-    def _send_unsent_head(self) -> None:
-        self._loop.run_in_executor(
-            None, self._endpoint.send_all, self._unsent[0]
-        ).add_done_callback(self._unsent_head_sent)
-
-    def _unsent_head_sent(self, job: asyncio.Future) -> None:
-        if job.cancelled():
-            return  # loop teardown
-        exc = job.exception()
-        if exc is not None:
-            # A partly written frame desynchronizes the stream: fail
-            # every in-flight request so each can fail over.
-            self._unsent.clear()
-            self._fail_pending(exc)
-            return
-        self._unsent.popleft()
-        if self._unsent:
-            self._send_unsent_head()
-
-    # -- reader thread ---------------------------------------------------- #
-
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                first = self._endpoint.recv(1)
-                if not first:
-                    raise PipeClosed("taint map mux connection closed")
-                (corr,) = struct.unpack(">I", first + _recv_exact(self._endpoint, 3))
-                status = _recv_exact(self._endpoint, 1)[0]
-                (length,) = struct.unpack(">I", _recv_exact(self._endpoint, 4))
-                response = _recv_exact(self._endpoint, length) if length else b""
-                self._loop.call_soon_threadsafe(self._resolve, corr, status, response)
-        except Exception as exc:
-            try:
-                self._loop.call_soon_threadsafe(self._fail_pending, exc)
-            except RuntimeError:
-                pass  # loop already closed during shutdown
-
-    # -- loop-thread callbacks ---------------------------------------------- #
-
-    def _resolve(self, corr: int, status: int, response: bytes) -> None:
-        future = self._pending.pop(corr, None)
-        if future is not None:
-            if self._inflight is not None:
-                self._inflight.dec()
-            if not future.done():
-                future.set_result((status, response))
-
-    def _fail_pending(self, exc: Exception) -> None:
-        """Connection death: every in-flight future gets the transport
-        error, so its request can fail over to the next replica."""
-        self._broken = exc
-        pending = list(self._pending.values())
-        self._pending.clear()
-        if pending and self._inflight is not None:
-            self._inflight.dec(len(pending))
-        for future in pending:
-            _fail_future(future, exc)
-
-    def close(self) -> None:
-        self._endpoint.close()
+            chunk = self.endpoint.recv(_READ_CHUNK, timeout)
+        except SimTimeout:
+            return []
+        if not chunk:
+            raise PipeClosed("taint map mux connection closed")
+        rx = self._rx
+        rx += chunk
+        frames = []
+        offset = 0
+        while len(rx) - offset >= _REPLY_HEAD.size:
+            corr, status, length = _REPLY_HEAD.unpack_from(rx, offset)
+            end = offset + _REPLY_HEAD.size + length
+            if len(rx) < end:
+                break
+            frames.append((corr, status, bytes(rx[end - length : end])))
+            offset = end
+        del rx[:offset]
+        return frames
 
 
-class _PendingWindow:
-    """One shard's accumulating batch of one kind (register or lookup)."""
+class _Shard:
+    """Per-shard state: the current connection, one window per kind and
+    the backpressure budget.  Replica choice lives on the client
+    (``_shard_replicas``/``_active``) so HA widening and
+    ``active_address_for`` keep working unchanged."""
 
-    __slots__ = ("entries", "timer", "inflight")
+    __slots__ = ("conn", "windows", "pending", "dial_lock")
 
     def __init__(self) -> None:
-        #: entry key (serialized taint bytes, or int GID) → result future.
-        self.entries: OrderedDict = OrderedDict()
-        #: The armed flush: a static-window timer, or the next-turn
-        #: ``call_soon`` handle of an idle window.
-        self.timer: Optional[asyncio.Handle] = None
-        #: Flushes of this window currently on the wire.
-        self.inflight = 0
-
-
-class _ShardChannel:
-    """Per-shard connection management + replica failover.
-
-    State is event-loop-confined; the replica list and active index are
-    shared with the owning client so HA widening
-    (:class:`~repro.core.ha.AsyncFailoverTaintMapClient`) and
-    ``active_address_for`` introspection keep working unchanged.
-    """
-
-    def __init__(self, transport: "AsyncTaintMapTransport", shard: int):
-        self._transport = transport
-        self._shard = shard
-        self._connection: Optional[_MuxConnection] = None
-        self._connect_lock = asyncio.Lock()
-
-    async def _connected(self) -> _MuxConnection:
-        # A flush racing close() must not re-dial the endpoint the
-        # shutdown just tore down (TaintMapError: no replica rotation).
-        if self._transport._closed:
-            raise TaintMapError("async taint map transport is closed")
-        if self._connection is not None and not self._connection.broken:
-            return self._connection
-        async with self._connect_lock:
-            if self._connection is not None and not self._connection.broken:
-                return self._connection
-            client = self._transport.client
-            address = client._shard_replicas[self._shard][
-                client._active[self._shard]
-            ]
-            loop = self._transport.loop
-            endpoint = await loop.run_in_executor(
-                None, self._transport._connect, address
-            )
-            if self._transport._closed:
-                # close() ran during the dial and could not see this
-                # connection: never send on it, and do not leak it.
-                endpoint.close()
-                raise TaintMapError("async taint map transport is closed")
-            self._connection = _MuxConnection(
-                loop, endpoint, self._transport._inflight_child
-            )
-            return self._connection
-
-    def _rotate(self, observed_active: int) -> None:
-        """Fail over to the shard's next replica (no-op if a concurrent
-        request already rotated past ``observed_active``); always drop
-        the broken connection."""
-        client = self._transport.client
-        stale, self._connection = self._connection, None
-        if client._active[self._shard] == observed_active:
-            client._active[self._shard] = (observed_active + 1) % len(
-                client._shard_replicas[self._shard]
-            )
-        if stale is not None:
-            try:
-                stale.close()
-            except Exception:
-                client.stats.bump("close_errors")
-
-    async def roundtrip(self, op: int, payload: bytes) -> tuple[int, bytes]:
-        """One request with per-shard replica failover.  Transport
-        errors rotate and retry (idempotent ops make the retry safe);
-        protocol-level statuses are returned to the caller."""
-        client = self._transport.client
-        replicas = client._shard_replicas[self._shard]
-        last_error: Optional[Exception] = None
-        for _ in range(len(replicas)):
-            observed_active = client._active[self._shard]
-            try:
-                connection = await self._connected()
-                # Timed from request-out, like the pooled _roundtrip: the
-                # dial and OP_MUX_HELLO upgrade are not RPC latency.
-                started = time.perf_counter()
-                status, response = await connection.request(op, payload)
-            except TRANSPORT_ERRORS as exc:
-                last_error = exc
-                self._rotate(observed_active)
-                continue
-            with client.stats._lock:
-                client.requests_sent += 1
-            client._observe_rpc(op, time.perf_counter() - started)
-            return status, response
-        if len(replicas) == 1:
-            raise last_error  # single replica: surface the transport error
-        raise TaintMapError(f"all taint map replicas unreachable: {last_error}")
-
-    def fail_pending(self, exc: Exception) -> None:
-        """Shutdown hook: fail every request future still correlated on
-        this channel's connection (callers are about to be torn down)."""
-        connection = self._connection
-        if connection is not None:
-            connection._fail_pending(exc)
-
-    def close(self) -> None:
-        connection, self._connection = self._connection, None
-        if connection is not None:
-            try:
-                connection.close()
-            except Exception:
-                self._transport.client.stats.bump("close_errors")
+        self.conn: Optional[_MuxConnection] = None
+        self.windows = (_Window(), _Window())
+        #: Entries queued in windows plus carried by in-flight requests.
+        self.pending = 0
+        self.dial_lock = threading.Lock()
 
 
 class AsyncTaintMapTransport:
-    """The event-loop half of :class:`AsyncTaintMapClient`.
+    """The multiplexed, coalescing request path of :class:`AsyncTaintMapClient`.
 
-    ``submit``/``submit_many`` are the sync bridge: they accept the
-    pooled client's ``(shard, op, payload)`` request shape, route the
-    four map ops through the coalescing windows, and return response
-    payloads in exactly the sync protocol's formats — so the caching
-    and batching logic of :class:`~repro.core.taintmap.TaintMapClient`
-    runs unmodified on top.
+    ``submit``/``submit_many`` accept the pooled client's ``(shard, op,
+    payload)`` request shape, route the four map ops through the
+    coalescing windows, and return response payloads in exactly the sync
+    protocol's formats — so the caching and batching logic of
+    :class:`~repro.core.taintmap.TaintMapClient` runs unmodified on top.
+    All shared state is guarded by one lock; I/O runs outside it.
     """
 
     def __init__(
@@ -439,8 +340,8 @@ class AsyncTaintMapTransport:
             )
         self.client = client
         #: Static coalescing window (µs), or ``None`` for the default
-        #: timer-free policy (flush on the next loop turn when idle,
-        #: chain behind the in-flight flush when busy).
+        #: group-commit policy (flush at once when idle, chain behind
+        #: the in-flight flush when busy).
         self.coalesce_window_us = (
             None
             if coalesce_window_us is None
@@ -456,15 +357,6 @@ class AsyncTaintMapTransport:
         )
         self.max_pending = max_pending
         self.backpressure = backpressure
-        #: Per-shard pending entries: queued in windows + handed to
-        #: in-flight flushes.  Drained (and waiters woken) as flushes
-        #: complete.
-        self._pending_counts: list[int] = []
-        self._drain_waiters: list[deque] = []
-        #: Entries owned by in-flight ``_flush`` tasks, so ``close()``
-        #: can fail their futures too (they are in no window anymore).
-        self._inflight_flushes: dict[int, OrderedDict] = {}
-        self._flush_ids = itertools.count(1)
         # Coalescing/in-flight telemetry on the owning node's registry
         # (None for bare test nodes).  Families and their reason
         # children are pre-declared so /metrics always exposes them.
@@ -500,7 +392,7 @@ class AsyncTaintMapTransport:
             self._window_gauge = metrics.gauge(
                 "dista_coalesce_window_us",
                 "Effective coalescing window per shard in microseconds "
-                "(0 under the default timer-free policy, else the pinned "
+                "(0 under the default group-commit policy, else the pinned "
                 "static window).",
                 ("shard",),
             )
@@ -508,191 +400,93 @@ class AsyncTaintMapTransport:
                 "dista_taintmap_inflight_requests",
                 "Requests in flight on the multiplexed Taint Map connections.",
             ).labels()
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._lifecycle_lock = threading.Lock()
-        self._channels: list[_ShardChannel] = []
-        self._windows: list[tuple[_PendingWindow, _PendingWindow]] = []
+        self._lock = threading.Lock()
+        #: Signalled whenever shared state changes in a way a waiting
+        #: caller could act on (an entry settled, a window freed, a
+        #: request correlated, a read role released, close()).
+        self._changed = threading.Condition(self._lock)
+        self._shards: list[_Shard] = []
+        #: Every open connection, including ones a drain readdressed
+        #: away that still carry requests.
+        self._conns: list[_MuxConnection] = []
         self._closed = False
-        self._grow_state(len(client._shard_replicas))
+        self._grow_locked(len(client._shard_replicas))
 
     # -- lifecycle ---------------------------------------------------------- #
 
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        with self._lifecycle_lock:
-            if self._closed:
-                raise TaintMapError("async taint map transport is closed")
-            if self.loop is None:
-                self.loop = asyncio.new_event_loop()
-                # The client's replica list may have grown (ring adopted
-                # before first use); size every per-shard list from it.
-                self._grow_state(len(self.client._shard_replicas))
-                self._thread = threading.Thread(
-                    target=self.loop.run_forever, name="taintmap-aio", daemon=True
-                )
-                self._thread.start()
-            return self.loop
-
-    def _grow_state(self, shard_count: int) -> None:
+    def _grow_locked(self, shard_count: int) -> None:
         """Append per-shard state up to ``shard_count`` (never shrinks).
-
-        Must run on the event-loop thread once the loop exists — every
-        list here is loop-confined after start.  Channels dial lazily,
-        so a shard that appears mid-flight costs nothing until its
-        first request opens the mux connection.
-        """
-        while len(self._pending_counts) < shard_count:
+        Shards dial lazily, so a shard that appears mid-flight costs
+        nothing until its first request opens the mux connection."""
+        while len(self._shards) < shard_count:
             if self._window_gauge is not None:
-                self._window_gauge.labels(shard=str(len(self._pending_counts))).set(
+                self._window_gauge.labels(shard=str(len(self._shards))).set(
                     self.coalesce_window_us or 0.0
                 )
-            self._pending_counts.append(0)
-            self._drain_waiters.append(deque())
-        if self.loop is not None:
-            while len(self._channels) < shard_count:
-                self._channels.append(_ShardChannel(self, len(self._channels)))
-                self._windows.append((_PendingWindow(), _PendingWindow()))
+            self._shards.append(_Shard())
 
     def grow_to(self, shard_count: int) -> None:
         """Ring adoption hook: make every per-shard structure cover
         ``shard_count`` shards before the client's router can return a
-        new index.  Safe from any thread; loop-confined state is grown
-        on the loop itself (inline when already running there — the
-        stale-ring re-route path calls this mid-flush)."""
-        with self._lifecycle_lock:
-            if self._closed:
-                return
-            loop = self.loop
-            if loop is None:
-                self._grow_state(shard_count)
-                return
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:
-            self._grow_state(shard_count)
-            return
-
-        async def grow() -> None:
-            self._grow_state(shard_count)
-
-        try:
-            asyncio.run_coroutine_threadsafe(grow(), loop).result(10)
-        except RuntimeError:
-            pass  # loop stopped by a concurrent close(): nothing to grow
+        new index.  Safe from any thread."""
+        with self._lock:
+            self._grow_locked(shard_count)
 
     def readdress(self, indices: Sequence[int]) -> None:
         """Drain adoption hook: the listed shard slots now forward to a
-        surviving shard's address.  Cached mux connections for them are
-        *dropped without closing* — in-flight requests finish on the old
+        surviving shard's address.  Their connections are *dropped
+        without closing* — in-flight requests finish on the old
         connection (the drained process keeps serving until the cluster
-        stops it), while every new request dials the forwarding address.
-        Safe from any thread; channel state is swapped on the loop."""
-        with self._lifecycle_lock:
-            if self._closed:
-                return
-            loop = self.loop
-            if loop is None:
-                return  # no connections exist before the loop starts
-
-        def drop() -> None:
+        stops it), while every new request dials the forwarding address."""
+        with self._lock:
             for index in indices:
-                if index < len(self._channels):
-                    self._channels[index]._connection = None
-
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:
-            drop()
-            return
-
-        async def drop_async() -> None:
-            drop()
-
-        try:
-            asyncio.run_coroutine_threadsafe(drop_async(), loop).result(10)
-        except RuntimeError:
-            pass  # loop stopped by a concurrent close(): nothing to drop
+                if index < len(self._shards):
+                    self._shards[index].conn = None
 
     def close(self) -> None:
-        with self._lifecycle_lock:
+        """Fail every queued and in-flight entry and close every
+        connection; waiting callers wake and raise."""
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            loop = self.loop
-            thread, self._thread = self._thread, None
-            # The per-shard lists (and self.loop) stay in place: in-flight
-            # _flush/_dispatch tasks still index them, and swapping in
-            # empty lists would turn their teardown paths (_drain,
-            # _coalesce) into IndexErrors instead of clean closed errors.
-            # Only their *contents* are failed and cleared below.
-            channels = self._channels
-            windows = self._windows
-            waiters = self._drain_waiters
-            inflight_flushes, self._inflight_flushes = self._inflight_flushes, {}
-        if loop is None:
-            return
-
-        async def shutdown() -> None:
-            closed = TaintMapError("async taint map transport is closed")
-            for register_window, lookup_window in windows:
-                for window in (register_window, lookup_window):
-                    if window.timer is not None:
-                        window.timer.cancel()
-                        window.timer = None
-                    for future in window.entries.values():
-                        _fail_future(future, closed)
+            closed = TaintMapError(_CLOSED)
+            # The per-shard list stays in place: a straggling reply or
+            # re-route still indexes it.
+            for shard in self._shards:
+                shard.conn = None
+                for window in shard.windows:
+                    for entry in window.entries.values():
+                        entry.settle(error=closed)
                     window.entries.clear()
-            # Entries already handed to an in-flight _flush task are in
-            # no window anymore — without failing them here, their sync
-            # submitters would block in submit().result() forever.
-            for entries in inflight_flushes.values():
-                for future in entries.values():
-                    _fail_future(future, closed)
-            for shard_waiters in waiters:
-                while shard_waiters:
-                    _fail_future(shard_waiters.popleft(), closed)
-            for channel in channels:
-                # TaintMapError is not a TRANSPORT_ERROR, so awakened
-                # roundtrips propagate it instead of rotating replicas.
-                channel.fail_pending(closed)
-                channel.close()
-            # Let the awakened _dispatch/_flush tasks run to completion
-            # (their futures are already failed) so every
-            # run_coroutine_threadsafe caller unblocks before the loop
-            # stops processing callbacks.
-            current = asyncio.current_task()
-            tasks = [task for task in asyncio.all_tasks() if task is not current]
-            if tasks:
-                await asyncio.wait(tasks, timeout=5)
-            loop.stop()
-
-        try:
-            asyncio.run_coroutine_threadsafe(shutdown(), loop)
-        except RuntimeError:
-            return
-        if thread is not None:
-            thread.join(timeout=10)
-        try:
-            # Close the loop even when the join timed out: a wedged
-            # executor job must not leak the loop object.  A loop still
-            # running raises RuntimeError; nothing more can be done
-            # short of killing daemon threads.
-            loop.close()
-        except RuntimeError:
-            pass
+            conns, self._conns = self._conns, []
+            for conn in conns:
+                conn.broken = conn.broken or closed
+                for request in conn.pending.values():
+                    for entry in request.entries.values():
+                        entry.settle(error=closed)
+                self._inflight_dec(len(conn.pending))
+                conn.pending.clear()
+                # Wakes a caller blocked reading this connection.
+                self._close_endpoint(conn.endpoint)
+            self._changed.notify_all()
 
     def _connect(self, address: Address) -> TcpEndpoint:
-        """Blocking connect + OP_MUX_HELLO upgrade (runs on executor)."""
+        """Blocking connect + OP_MUX_HELLO upgrade.  A shard that accepts
+        but never acknowledges fails the dial within the deadline."""
         node = self.client._node
         endpoint = node.kernel.connect(node.ip, address)
         try:
             _send_frame(endpoint, bytes([OP_MUX_HELLO]), b"")
-            status = _recv_exact(endpoint, 1)[0]
-            (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
+            ack = b""
+            while len(ack) < 5:
+                chunk = endpoint.recv(
+                    5 - len(ack), self.request_deadline_s or DEFAULT_DEADLINE_S
+                )
+                if not chunk:
+                    raise PipeClosed("taint map closed the connection during upgrade")
+                ack += chunk
+            status, length = ack[0], struct.unpack(">I", ack[1:])[0]
             if length:
                 _recv_exact(endpoint, length)
             if status != STATUS_OK:
@@ -704,82 +498,94 @@ class AsyncTaintMapTransport:
             raise
         return endpoint
 
-    # -- sync bridge -------------------------------------------------------- #
+    def _connection(self, shard: int) -> _MuxConnection:
+        """The shard's connection, dialing its active replica on first
+        use (lock not held; one dial per shard at a time)."""
+        state = self._shards[shard]
+        conn = state.conn
+        if conn is not None:
+            return conn
+        with state.dial_lock:
+            conn = state.conn
+            if conn is not None:
+                return conn
+            if self._closed:
+                raise TaintMapError(_CLOSED)
+            client = self.client
+            endpoint = self._connect(client._shard_replicas[shard][client._active[shard]])
+            with self._lock:
+                if self._closed:
+                    # close() ran during the dial and could not see this
+                    # connection: never send on it, and do not leak it.
+                    endpoint.close()
+                    raise TaintMapError(_CLOSED)
+                conn = state.conn = _MuxConnection(endpoint, shard)
+                self._conns.append(conn)
+            return conn
+
+    def _close_endpoint(self, endpoint: TcpEndpoint) -> None:
+        try:
+            endpoint.close()
+        except Exception:
+            self.client.stats.bump("close_errors")
+
+    def _inflight_dec(self, count: int) -> None:
+        if count and self._inflight_child is not None:
+            self._inflight_child.dec(count)
+
+    # -- sync API ----------------------------------------------------------- #
 
     def submit(self, shard: int, op: int, payload: bytes) -> bytes:
-        loop = self._ensure_loop()
-        future = asyncio.run_coroutine_threadsafe(
-            self._dispatch(shard, op, payload), loop
-        )
-        return self._result_within_deadline(future)
+        return self.submit_many([(shard, op, payload)])[0]
 
     def submit_many(self, calls: Sequence[tuple[int, int, bytes]]) -> list[bytes]:
-        loop = self._ensure_loop()
-
-        async def run_all() -> list[bytes]:
-            return await asyncio.gather(
-                *(self._dispatch(shard, op, payload) for shard, op, payload in calls)
-            )
-
-        return self._result_within_deadline(
-            asyncio.run_coroutine_threadsafe(run_all(), loop)
+        """Enqueue every call, then do this caller's share of the
+        transport until all of its entries settle or its deadline fires."""
+        deadline = (
+            None
+            if self.request_deadline_s is None
+            else time.monotonic() + self.request_deadline_s
         )
-
-    def _result_within_deadline(self, future):
-        """Block the sync caller on its future, bounded by the deadline:
-        a wedged shard (or stalled loop) fails the request with a
-        timeout error instead of hanging the wrapper thread forever."""
-        deadline = self.request_deadline_s
-        if deadline is None:
-            return future.result()
-        try:
-            return future.result(deadline)
-        # Both classes: future.result raises concurrent.futures.TimeoutError,
-        # which is only an alias of the builtin from 3.11 on.
-        except (TimeoutError, concurrent.futures.TimeoutError):
-            if future.done():
-                raise  # the request itself failed with a timeout-type error
-            future.cancel()  # window futures are shielded; peers unaffected
-            raise TaintMapDeadlineError(
-                f"taint map request exceeded its {deadline}s deadline"
-            ) from None
-
-    # -- op dispatch (loop thread) ------------------------------------------- #
-
-    async def _dispatch(self, shard: int, op: int, payload: bytes) -> bytes:
-        """Route one sync-protocol request through the coalescing
-        windows, returning the response payload the sync protocol
-        would have produced."""
-        if op == OP_REGISTER:
-            gids = await self._coalesce(shard, _REGISTER, [bytes(payload)])
-            return struct.pack(">I", gids[0])
-        if op == OP_REGISTER_MANY:
-            entries = _split_batch_register(payload)
-            gids = await self._coalesce(shard, _REGISTER, entries)
-            return struct.pack(f">{len(gids)}I", *gids)
-        if op == OP_LOOKUP:
-            (gid,) = struct.unpack(">I", payload)
-            values = await self._coalesce(shard, _LOOKUP, [gid])
-            return values[0]
-        if op == OP_LOOKUP_MANY:
-            (count,) = struct.unpack(">H", payload[:2])
-            gids = list(struct.unpack(f">{count}I", payload[2:]))
-            values = await self._coalesce(shard, _LOOKUP, gids)
-            return b"".join(
-                struct.pack(">I", len(value)) + value for value in values
+        plans = []
+        sends: list[_Request] = []
+        with self._lock:
+            if self._closed:
+                raise TaintMapError(_CLOSED)
+            try:
+                for shard, op, payload in calls:
+                    plans.append((op, self._enqueue_locked(shard, op, payload, deadline, sends)))
+            except BaseException:
+                # Size flushes already taken must still go out: other
+                # callers' entries may share them.
+                self._unlocked(self._send, sends)
+                raise
+            self._await(
+                [entry for _, entries in plans for entry in entries], deadline, sends
             )
-        # Unknown/extension op: pass through un-coalesced.
-        status, response = await self._channels[shard].roundtrip(op, payload)
-        self._check_status(status)
-        return response
+        return [self._response(op, entries) for op, entries in plans]
+
+    @staticmethod
+    def _response(op: int, entries: list) -> bytes:
+        """Re-encode settled entries as the sync protocol's reply."""
+        for entry in entries:
+            if entry.error is not None:
+                raise entry.error
+        values = [entry.value for entry in entries]
+        if op == OP_REGISTER:
+            return struct.pack(">I", values[0])
+        if op == OP_REGISTER_MANY:
+            return struct.pack(f">{len(values)}I", *values)
+        if op == OP_LOOKUP_MANY:
+            return b"".join(struct.pack(">I", len(value)) + value for value in values)
+        return values[0]  # OP_LOOKUP, or a pass-through op's raw payload
 
     @staticmethod
     def _check_status(status: int) -> None:
         if status == STATUS_UNKNOWN_GID:
             raise TaintMapError("unknown Global ID")
         if status == STATUS_STALE_RING:
-            # Register windows re-home via _reroute_register before this
-            # check; any other op seeing it is a protocol violation.
+            # Register requests re-home via _reroute before this check;
+            # any other op seeing it is a protocol violation.
             raise TaintMapError("taint map rejected request routed on a stale ring")
         if status == STATUS_GID_EXHAUSTED:
             # Structured and non-retried: the shard is healthy but has no
@@ -792,213 +598,367 @@ class AsyncTaintMapTransport:
         if status != STATUS_OK:
             raise TaintMapError(f"taint map rejected request (status {status})")
 
-    # -- coalescing windows (loop thread) ------------------------------------- #
+    # -- coalescing windows (lock held) -------------------------------------- #
 
-    async def _coalesce(self, shard: int, kind: int, keys: Sequence) -> list:
-        """Enqueue ``keys`` into the shard's pending window and await
-        their results.  The window size-flushes **mid-insertion**, so
-        one oversized call never builds a window beyond ``max_batch``
-        (and hence never beyond the 16-bit protocol frame ceiling),
-        while a small call's keys still share one flush even with a
-        zero-length window."""
-        if self._closed:
-            raise TaintMapError("async taint map transport is closed")
-        window = self._windows[shard][kind]
-        futures = []
+    def _enqueue_locked(
+        self, shard: int, op: int, payload: bytes, deadline, sends: list
+    ) -> list[_Entry]:
+        """Enter one sync-protocol request's keys into the shard's
+        window.  The window size-flushes **mid-insertion** (into
+        ``sends``), so one oversized call never builds a window beyond
+        ``max_batch``, while a small call's keys share one flush."""
+        if op == OP_REGISTER:
+            kind, keys = _REGISTER, [bytes(payload)]
+        elif op == OP_REGISTER_MANY:
+            kind, keys = _REGISTER, _split_batch_register(payload)
+        elif op == OP_LOOKUP:
+            kind, keys = _LOOKUP, list(struct.unpack(">I", payload))
+        elif op == OP_LOOKUP_MANY:
+            (count,) = struct.unpack(">H", payload[:2])
+            kind, keys = _LOOKUP, list(struct.unpack(f">{count}I", payload[2:]))
+        else:
+            # Unknown/extension op: pass through un-coalesced.
+            entry = _Entry(None, shard, None)
+            sends.append(
+                _Request(shard, None, OrderedDict([(None, entry)]), op=op, payload=payload)
+            )
+            return [entry]
+        state = self._shards[shard]
+        window = state.windows[kind]
+        entries = []
         for key in keys:
-            future = window.entries.get(key)
-            if future is None and self._pending_counts[shard] >= self.max_pending:
-                await self._admit(shard, kind)
-                # Re-check after blocking: close() may have torn the
-                # windows down (entries queued now would never resolve),
-                # and a concurrent caller may have queued the same key.
-                if self._closed:
-                    raise TaintMapError("async taint map transport is closed")
-                future = window.entries.get(key)
-            if future is None:
-                future = self.loop.create_future()
-                window.entries[key] = future
-                self._pending_counts[shard] += 1
+            entry = window.entries.get(key)
+            if entry is None and state.pending >= self.max_pending:
+                self._admit_locked(shard, deadline, sends)
+                # A concurrent caller may have queued the same key.
+                entry = window.entries.get(key)
+            if entry is None:
+                if not window.entries:
+                    window.chained = bool(window.inflight)
+                    if self.coalesce_window_us is not None:
+                        window.due = time.monotonic() + self.coalesce_window_us / 1e6
+                entry = window.entries[key] = _Entry(key, shard, kind)
+                state.pending += 1
                 if len(window.entries) >= self.max_batch:
-                    self._flush_now(shard, kind, "size")
-            futures.append(future)
-        if window.entries and window.timer is None:
-            if self.coalesce_window_us is not None:
-                window.timer = self.loop.call_later(
-                    self.coalesce_window_us / 1e6, self._flush_now, shard, kind, "timer"
-                )
-            elif not window.inflight:
-                window.timer = self.loop.call_soon(self._flush_now, shard, kind, "idle")
-            # else: chained — the in-flight flush sends it on completion.
-        # Shield the shared window futures: a deadline-cancelled caller
-        # must not cancel entries other callers are awaiting.
-        results = await asyncio.gather(
-            *(asyncio.shield(future) for future in futures),
-            return_exceptions=True,
-        )
-        for result in results:
-            if isinstance(result, BaseException):
-                raise result
-        return list(results)
+                    sends.append(self._take_locked(shard, kind, "size"))
+            entries.append(entry)
+        return entries
 
-    async def _admit(self, shard: int, kind: int) -> None:
+    def _admit_locked(self, shard: int, deadline, sends: list) -> None:
         """Backpressure gate for one new entry at the high-water mark:
-        shed immediately, or block until in-flight flushes drain."""
-        while self._pending_counts[shard] >= self.max_pending:
-            if self.backpressure == "shed":
-                if self._backpressure_total is not None:
-                    self._backpressure_total.labels(action="shed").inc()
-                raise TaintMapBackpressureError(
-                    f"shard {shard} pending window at its high-water mark "
-                    f"({self.max_pending} entries); shedding request"
-                )
-            # Before parking, start draining the shard: flush both of
-            # its parked windows now rather than waiting out their
-            # timers or in-flight flushes (at the mark that is pure
-            # queueing).
-            for parked_kind in (_REGISTER, _LOOKUP):
-                if self._windows[shard][parked_kind].entries:
-                    self._flush_now(shard, parked_kind, "backpressure")
+        shed at once, or flush the shard's parked windows and wait (doing
+        this caller's share of the reading) until it drains."""
+        state = self._shards[shard]
+        if self.backpressure == "shed":
             if self._backpressure_total is not None:
-                self._backpressure_total.labels(action="block").inc()
-            waiter = self.loop.create_future()
-            self._drain_waiters[shard].append(waiter)
-            try:
-                await waiter
-            finally:
-                if not waiter.done():
-                    waiter.cancel()
+                self._backpressure_total.labels(action="shed").inc()
+            raise TaintMapBackpressureError(
+                f"shard {shard} pending window at its high-water mark "
+                f"({self.max_pending} entries); shedding request"
+            )
+        for kind, window in enumerate(state.windows):
+            if window.entries:
+                sends.append(self._take_locked(shard, kind, "backpressure"))
+        if self._backpressure_total is not None:
+            self._backpressure_total.labels(action="block").inc()
+        parked, sends[:] = list(sends), []
+        self._await(
+            (),
+            deadline,
+            parked,
+            until=lambda: state.pending < self.max_pending,
+            shard=shard,
+        )
+        if self._closed:
+            raise TaintMapError(_CLOSED)
 
-    def _drain(self, shard: int, count: int) -> None:
-        """A flush completed: release its entries' pending budget and
-        wake blocked admitters (each re-checks the mark)."""
-        self._pending_counts[shard] -= count
-        waiters = self._drain_waiters[shard]
-        while waiters:
-            waiter = waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(None)
-
-    def _flush_now(self, shard: int, kind: int, reason: str = "size") -> None:
-        window = self._windows[shard][kind]
-        if window.timer is not None:
-            window.timer.cancel()
-            window.timer = None
-        if not window.entries:
-            return
+    def _take_locked(self, shard: int, kind: int, reason: str) -> _Request:
+        """Turn the window's entries into one request (not yet sent)."""
+        window = self._shards[shard].windows[kind]
         entries, window.entries = window.entries, OrderedDict()
-        window.inflight += 1
         if self._flush_reason is not None:
             self._flush_reason.labels(reason=reason).inc()
             self._window_entries.observe(len(entries))
-        flush_id = next(self._flush_ids)
-        self._inflight_flushes[flush_id] = entries
-        self.loop.create_task(self._flush(shard, kind, entries, flush_id))
+        request = _Request(shard, kind, entries, window)
+        window.inflight.append(request)
+        return request
 
-    async def _flush(
-        self, shard: int, kind: int, entries: OrderedDict, flush_id: int
-    ) -> None:
-        """The wire round-trip(s) for an accumulated window; resolves
-        every entry future (out of order relative to other flushes) and
-        pops entries from ``entries`` as they settle, so shutdown can
-        fail exactly the still-pending remainder."""
-        drained = len(entries)
-        try:
-            if kind == _REGISTER:
-                await self._flush_register(shard, entries)
-            else:
-                await self._flush_lookup(shard, entries)
-        except Exception as exc:
-            for future in entries.values():
-                _fail_future(future, exc)
-        finally:
-            self._inflight_flushes.pop(flush_id, None)
-            self._drain(shard, drained)
-            self._windows[shard][kind].inflight -= 1
-            if self.coalesce_window_us is None and not self._closed:
-                # Group commit: what queued behind this flush goes now.
-                self._flush_now(shard, kind, "chained")
+    def _release_locked(self, request: _Request) -> None:
+        """The request no longer holds its window's in-flight slot or
+        pending budget (idempotent)."""
+        window, request.window = request.window, None
+        if window is not None:
+            window.inflight.remove(request)
+            self._shards[request.shard].pending -= request.counted
 
-    async def _flush_register(
-        self, shard: int, entries: OrderedDict, attempts: int = 0
-    ) -> None:
-        # Chunk at the protocol ceiling: max_batch is clamped below it,
-        # but a window must never be *able* to build an unencodable
-        # frame whatever path filled it.
-        while entries:
-            keys = list(islice(entries, PROTOCOL_MAX_BATCH))
-            status, response = await self._channels[shard].roundtrip(
-                OP_REGISTER_MANY, _pack_batch_register(keys)
-            )
-            if status == STATUS_STALE_RING:
-                await self._reroute_register(shard, entries, response, attempts)
+    # -- the caller's share of the work ------------------------------------- #
+
+    def _await(self, entries, deadline, sends=(), until=None, shard=None) -> None:
+        """Run until every entry settles (or ``until()`` holds), each
+        turn doing the first thing that makes progress: send what is
+        ready, read a connection carrying this caller's requests that
+        nobody reads, or sleep until another caller changes something.
+        ``shard`` adds that shard's windows to the caller's interest
+        (backpressure waits on them).  Lock held on entry and exit."""
+        sends = list(sends)
+        while True:
+            if sends:
+                self._unlocked(self._send, sends)
+                sends = []
+            if until is None:
+                entries = [entry for entry in entries if not entry.done]
+                if not entries:
+                    return
+            elif until():
                 return
-            self._check_status(status)
-            gids = struct.unpack(f">{len(keys)}I", response)
-            for key, gid in zip(keys, gids):
-                future = entries.pop(key)
-                if not future.done():
-                    future.set_result(gid)
+            if self._closed:
+                raise TaintMapError(_CLOSED)
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
+                raise TaintMapDeadlineError(
+                    f"taint map request exceeded its {self.request_deadline_s}s deadline"
+                )
+            wake = deadline
+            windows = {}  # ordered: frames go out in call order
+            conns = set()
+            for entry in entries:
+                if entry.request is None:
+                    windows[entry.shard, entry.kind] = None
+                elif entry.request.conn is not None:
+                    conns.add(entry.request.conn)
+            if shard is not None:
+                windows[shard, _REGISTER] = windows[shard, _LOOKUP] = None
+            for index, kind in windows:
+                window = self._shards[index].windows[kind]
+                if window.entries:
+                    if self.coalesce_window_us is None:
+                        if not window.inflight:
+                            reason = "chained" if window.chained else "idle"
+                            sends.append(self._take_locked(index, kind, reason))
+                    elif window.due <= now:
+                        sends.append(self._take_locked(index, kind, "timer"))
+                    elif wake is None or window.due < wake:
+                        wake = window.due
+                conns.update(r.conn for r in window.inflight if r.conn is not None)
+            if sends:
+                continue
+            timeout = None if wake is None else max(wake - now, 0.0)
+            for conn in conns:
+                if conn.pending and not conn.reading and conn.broken is None:
+                    conn.reading = True
+                    self._unlocked(self._read_and_send, conn, timeout)
+                    break
+            else:
+                self._changed.wait(timeout)
 
-    async def _reroute_register(
-        self, shard: int, entries: OrderedDict, response: bytes, attempts: int
-    ) -> None:
-        """Drain/re-home a register window the server stale-rung.
+    def _unlocked(self, fn, *args):
+        self._lock.release()
+        try:
+            return fn(*args)
+        finally:
+            self._lock.acquire()
 
-        The reply's ring is adopted (which grows this transport's
-        per-shard state inline — we are on the loop thread), the
-        window's entries regroup under the new router, and each group
-        replays through the normal flush path on its new shard's
-        channel.  The in-flight futures ride along untouched: submitters
-        blocked in ``submit()`` never observe the epoch flip.
-        """
-        client = self.client
-        error = client._stale_ring_error(shard, response)
-        if error.ring is None or attempts + 1 >= client.RING_RETRY_LIMIT:
-            raise error  # _flush fails the window's remaining futures
-        if attempts > 0:
-            await asyncio.sleep(min(0.001 * (1 << attempts), 0.05))
-        router = client._router
-        regroup: dict[int, OrderedDict] = {}
-        for key, future in entries.items():
-            target = router.shard_for_key(taint_key(frozenset(deserialize_tags(key))))
-            regroup.setdefault(target, OrderedDict())[key] = future
-        entries.clear()
+    def _read_and_send(self, conn: _MuxConnection, timeout: Optional[float]) -> None:
+        self._send(self._read(conn, timeout))
 
-        async def flush_group(target: int, group: OrderedDict) -> None:
+    def _read(self, conn: _MuxConnection, timeout: Optional[float]) -> list:
+        """One pipe read by the read-role holder (lock not held): settle
+        the frames it completes, then hand the role back.  Returns the
+        follow-up requests (retries, re-routes) for the caller to send."""
+        followups: list[_Request] = []
+        try:
+            frames = conn.read_frames(timeout)
+        except Exception as exc:
+            followups = self._on_broken(conn, exc)
+        else:
+            for frame in frames:
+                followups += self._on_frame(conn, *frame)
+        finally:
+            with self._lock:
+                conn.reading = False
+                self._changed.notify_all()
+        return followups
+
+    def _send(self, requests: list) -> None:
+        """Write each request's frame on its shard's connection, dialing
+        on first use; a transport error fails the request over to the
+        shard's next replica (lock not held)."""
+        index = 0
+        while index < len(requests):
+            request = requests[index]
+            index += 1
+            request.observed_active = self.client._active[request.shard]
             try:
-                await self._flush_register(target, group, attempts + 1)
-            except Exception as exc:
-                # Fail only this group's remainder: groups re-homed to
-                # healthy shards must still resolve.
-                for future in group.values():
-                    _fail_future(future, exc)
+                conn = self._connection(request.shard)
+                with self._lock:
+                    if self._closed:
+                        raise TaintMapError(_CLOSED)
+                    corr = conn.correlate(request)
+                    if self._inflight_child is not None:
+                        self._inflight_child.inc()
+                    self._changed.notify_all()
+            except TRANSPORT_ERRORS as exc:
+                requests += self._retry(request, exc)
+                continue
+            except TaintMapError as exc:
+                self._finish(request, error=exc)
+                continue
+            # Timed from request-out, like the pooled _roundtrip: the
+            # dial and OP_MUX_HELLO upgrade are not RPC latency.
+            request.started = time.perf_counter()
+            try:
+                requests += self._write(conn, mux_frame(corr, request.op, request.payload))
+            except TRANSPORT_ERRORS as exc:
+                requests += self._on_broken(conn, exc)
 
-        await asyncio.gather(
-            *(flush_group(target, group) for target, group in regroup.items())
-        )
+    def _write(self, conn: _MuxConnection, frame: bytes) -> list:
+        """Write one whole frame.  While the pipe is full, keep the
+        server's replies draining (it answers before it reads on) so the
+        write can finish; returns the follow-ups those replies produced.
+        A write stalled past the deadline breaks the connection."""
+        followups: list[_Request] = []
+        stall = time.monotonic() + (self.request_deadline_s or DEFAULT_DEADLINE_S)
+        with conn.send_lock:
+            sent = conn.endpoint.send_nonblocking(frame)
+            while sent < len(frame):
+                if time.monotonic() > stall:
+                    raise SimTimeout("taint map frame write stalled")
+                with self._lock:
+                    drain = not conn.reading
+                    conn.reading = True
+                if drain:
+                    followups += self._read(conn, 0.001)
+                if conn.broken is not None:
+                    break  # _on_broken already re-sent this frame's request
+                sent += conn.endpoint.send_nonblocking(frame[sent:])
+        return followups
 
-    async def _flush_lookup(self, shard: int, entries: OrderedDict) -> None:
-        while entries:
-            keys = list(islice(entries, PROTOCOL_MAX_BATCH))
-            status, response = await self._channels[shard].roundtrip(
-                OP_LOOKUP_MANY, _pack_batch_lookup(keys)
-            )
-            if status == STATUS_UNKNOWN_GID and len(response) == 4:
-                # The server names the offending GID: fail that entry
-                # alone and retry the remainder (one extra round-trip)
-                # instead of failing the whole window.
-                (bad,) = struct.unpack(">I", response)
-                future = entries.pop(bad, None)
-                if future is not None:
-                    _fail_future(future, TaintMapError("unknown Global ID"))
-                    continue
-            self._check_status(status)
-            serialized = _split_batch_lookup_response(response, len(keys))
-            for key, value in zip(keys, serialized):
-                future = entries.pop(key)
-                if not future.done():
-                    future.set_result(value)
+    # -- replies and failures (lock not held) -------------------------------- #
+
+    def _on_frame(self, conn: _MuxConnection, corr: int, status: int, response: bytes) -> list:
+        with self._lock:
+            request = conn.pending.pop(corr, None)
+        if request is None:
+            return []  # failed by close() while the reply was in flight
+        self._inflight_dec(1)
+        client = self.client
+        with client.stats._lock:
+            client.requests_sent += 1
+        client._observe_rpc(request.op, time.perf_counter() - request.started)
+        try:
+            return self._on_reply(request, status, response)
+        except Exception as exc:
+            self._finish(request, error=exc)
+            return []
+
+    def _on_reply(self, request: _Request, status: int, response: bytes) -> list:
+        if request.kind == _REGISTER and status == STATUS_STALE_RING:
+            return self._reroute(request, response)
+        if request.kind == _LOOKUP and status == STATUS_UNKNOWN_GID and len(response) == 4:
+            # The server names the offending GID: fail that entry alone
+            # and retry the remainder (one extra round-trip) instead of
+            # failing the whole window.
+            (bad,) = struct.unpack(">I", response)
+            with self._lock:
+                entry = request.entries.pop(bad, None)
+                if entry is not None:
+                    entry.settle(error=TaintMapError("unknown Global ID"))
+                    self._changed.notify_all()
+            if entry is not None:
+                if not request.entries:
+                    self._finish(request)
+                    return []
+                request.payload = _pack_batch_lookup(list(request.entries))
+                request.tries = 0
+                return [request]
+        self._check_status(status)
+        if request.kind == _REGISTER:
+            values = struct.unpack(f">{len(request.entries)}I", response)
+        elif request.kind == _LOOKUP:
+            values = _split_batch_lookup_response(response, len(request.entries))
+        else:
+            values = [response]
+        self._finish(request, values)
+        return []
+
+    def _finish(self, request: _Request, values=None, error=None) -> None:
+        """Settle the request's entries (with ``values`` in entry order,
+        or with ``error``) and release its window."""
+        with self._lock:
+            results = itertools.repeat(None) if values is None else values
+            for entry, value in zip(request.entries.values(), results):
+                entry.settle(value, error)
+            self._release_locked(request)
+            self._changed.notify_all()
+
+    def _reroute(self, request: _Request, response: bytes) -> list:
+        """Re-home a register request the server stale-rung: adopt the
+        reply's ring (which grows this transport's per-shard state), then
+        regroup the entries under the new router, one request per new
+        shard.  Callers waiting on the entries never observe the flip."""
+        client = self.client
+        error = client._stale_ring_error(request.shard, response)
+        if error.ring is None or request.attempts + 1 >= client.RING_RETRY_LIMIT:
+            raise error
+        if request.attempts > 0:
+            time.sleep(min(0.001 * (1 << request.attempts), 0.05))
+        router = client._router
+        groups: dict[int, OrderedDict] = {}
+        for key, entry in request.entries.items():
+            target = router.shard_for_key(taint_key(frozenset(deserialize_tags(key))))
+            groups.setdefault(target, OrderedDict())[key] = entry
+        with self._lock:
+            followups = [
+                _Request(target, _REGISTER, group, attempts=request.attempts + 1)
+                for target, group in groups.items()
+            ]
+            request.entries = OrderedDict()
+            self._release_locked(request)
+            self._changed.notify_all()
+        return followups
+
+    def _on_broken(self, conn: _MuxConnection, exc: Exception) -> list:
+        """Connection death: drop it and fail every request it carried
+        over to the shard's next replica.  Returns the retries."""
+        with self._lock:
+            if conn.broken is not None:
+                return []
+            conn.broken = exc
+            requests = list(conn.pending.values())
+            self._inflight_dec(len(requests))
+            conn.pending.clear()
+            if conn in self._conns:
+                self._conns.remove(conn)
+            if self._shards[conn.shard].conn is conn:
+                self._shards[conn.shard].conn = None
+            self._close_endpoint(conn.endpoint)
+            self._changed.notify_all()
+        retries = []
+        for request in requests:
+            retries += self._retry(request, exc)
+        return retries
+
+    def _retry(self, request: _Request, exc: Exception) -> list:
+        """Rotate the request's shard to its next replica and hand the
+        request back for re-sending, or settle it with the error once
+        every replica has failed it."""
+        client = self.client
+        shard = request.shard
+        replicas = len(client._shard_replicas[shard])
+        request.tries += 1
+        if self._closed:
+            exc = TaintMapError(_CLOSED)
+        elif request.tries < replicas:
+            with self._lock:
+                # No-op if a concurrent failure already rotated past it.
+                if client._active[shard] == request.observed_active:
+                    client._active[shard] = (request.observed_active + 1) % replicas
+            return [request]
+        elif replicas > 1:
+            exc = TaintMapError(f"all taint map replicas unreachable: {exc}")
+        # A single replica surfaces the transport error itself.
+        self._finish(request, error=exc)
+        return []
 
 
 class AsyncTaintMapClient(TaintMapClient):

@@ -219,17 +219,16 @@ class AsyncFailoverTaintMapClient(_ActiveAddressMixin, AsyncTaintMapClient):
     """The failover client on the async multiplexed transport.
 
     Failover state is the same per-shard ``(replicas, active)`` pair the
-    pooled client rotates; a broken multiplexed connection fails every
-    in-flight future with a transport error, and each affected request
-    retries on the standby (registration and lookup are idempotent, so
-    the retry is safe).
+    pooled client rotates; when a multiplexed connection breaks, every
+    request in flight on it retries on the standby (registration and
+    lookup are idempotent, so the retry is safe).
 
     Deadline errors (:class:`~repro.errors.TaintMapDeadlineError`) are
-    raised at the sync ``submit`` bridge, *outside* the per-replica
-    retry loop: a request that times out is surfaced to the caller
-    rather than replayed against the standby — by then the caller has
-    already waited the full deadline, and the flush that carried it
-    keeps draining (or failing over) in the background.
+    raised to the waiting caller, *outside* the per-replica retry: a
+    request that times out is surfaced rather than replayed against the
+    standby — by then the caller has already waited the full deadline,
+    and the flush that carried it still completes (or fails over) for
+    the co-batched callers that keep waiting.
     """
 
     def __init__(

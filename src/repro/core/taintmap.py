@@ -1942,8 +1942,8 @@ class TaintMapClient:
             grown = len(self._shard_replicas)
         for endpoint in stale:
             self._close_quietly(endpoint)
-        # Outside the pool lock: the async transport grows on its event
-        # loop and must not be awaited while holding a client lock.
+        # Outside the pool lock: the async transport grows its per-shard
+        # state under its own lock, never nested inside a client lock.
         self._on_shards_grown(grown)
         if readdressed:
             self._on_shards_readdressed(readdressed)

@@ -63,9 +63,9 @@ class LabelResolver:
 
     The wrappers hand this to the codecs instead of individual
     callables, so the whole resolution path — including the transport
-    behind it (pooled threads or the async multiplexed client with
-    cross-message coalescing, :mod:`repro.core.aio_transport`) — is
-    swappable in one place.  Every codec below also still accepts the
+    behind it (pooled threads, or the multiplexed client whose calling
+    threads coalesce their requests across messages,
+    :mod:`repro.core.aio_transport`) — is swappable in one place.  Every codec below also still accepts the
     bare callables for backwards compatibility.
     """
 

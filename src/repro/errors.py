@@ -78,9 +78,9 @@ class TaintMapExhaustedError(TaintMapError):
 class TaintMapDeadlineError(TaintMapError, TimeoutError):
     """A Taint Map request missed its configured deadline.
 
-    Raised to the submitting wrapper thread when a wedged shard (or a
-    stalled event loop) fails to produce a response in time, instead of
-    blocking the traced execution forever.
+    Raised to the submitting wrapper thread when a wedged shard fails to
+    produce a response in time, instead of blocking the traced execution
+    forever.
     """
 
 

@@ -1,7 +1,8 @@
-"""Tests for the async multiplexed Taint Map transport (ISSUE 3):
-correlation-id framing, cross-message coalescing (timer vs size flush),
-out-of-order response delivery, mid-frame connection kill, per-shard
-failover with in-flight futures, and the transport-selection knobs."""
+"""Tests for the multiplexed Taint Map transport: correlation-id
+framing, cross-message coalescing (timer vs size flush), out-of-order
+response delivery, mid-frame connection kill, per-shard failover with
+in-flight requests, the caller-runs lifecycle (no thread, nothing left
+pending), and the transport-selection knobs."""
 
 import struct
 import threading
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+from repro.core import aio_transport
 from repro.core.agent import DisTAAgent, resolve_transport
 from repro.core.aio_transport import (
     DEFAULT_MAX_BATCH,
@@ -35,11 +37,13 @@ from repro.core.taintmap import (
     taint_key,
 )
 from repro.errors import InstrumentationError, PipeClosed, TaintMapError
+from repro.jre import ServerSocket, Socket
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT, Cluster
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
 from repro.runtime.modes import Mode
 from repro.runtime.node import SimNode
+from repro.taint.values import TBytes
 
 
 def _node(kernel, fs, name="n", ip="10.0.0.1", pid=1):
@@ -121,26 +125,29 @@ class TestMuxFraming:
         thread = threading.Thread(target=reordering_server, daemon=True)
         thread.start()
 
-        # window=0 and two *sequential-kind* distinct taints would share
-        # a window; force separate frames by using the raw submit API.
-        client = AsyncTaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
-        t1 = serialize_tags(node.tree.taint_for_tag("a").tags)
-        t2 = serialize_tags(node.tree.taint_for_tag("b").tags)
-        loop = client.transport._ensure_loop()
-        channel = client.transport._channels[0]
+        # A pinned zero window flushes each caller's register at once
+        # even while the other's is in flight: two separate frames.
+        client = AsyncTaintMapClient(
+            node, (TAINT_MAP_IP, TAINT_MAP_PORT), coalesce_window_us=0.0
+        )
+        gids = {}
 
-        import asyncio
+        def register(name):
+            gids[name] = client.gid_for(node.tree.taint_for_tag(name))
 
-        first = asyncio.run_coroutine_threadsafe(channel.roundtrip(OP_REGISTER, t1), loop)
+        first = threading.Thread(target=register, args=("a",), daemon=True)
+        second = threading.Thread(target=register, args=("b",), daemon=True)
+        first.start()
         # Ensure deterministic send order before submitting the second.
         time.sleep(0.05)
-        second = asyncio.run_coroutine_threadsafe(channel.roundtrip(OP_REGISTER, t2), loop)
+        second.start()
         time.sleep(0.05)
         release.set()
+        first.join(10)
+        second.join(10)
         # Responses were sent reversed: the *second* request's corr came
         # back first carrying 1000, the first's carrying 1001.
-        assert first.result(10) == (STATUS_OK, struct.pack(">I", 1001))
-        assert second.result(10) == (STATUS_OK, struct.pack(">I", 1000))
+        assert gids == {"a": 1001, "b": 1000}
         thread.join(10)
         client.close()
 
@@ -448,6 +455,53 @@ class TestFaultInjection:
         primaries[0].stop()
         for standby in standbys:
             standby.stop()
+
+
+class TestCallerRunsLifecycle:
+    def test_no_thread_started_and_no_entry_left_pending(self, monkeypatch):
+        """A tainted two-node exchange on the default transport: the
+        client's first ``gid_for`` starts no thread (the only new thread
+        is the server's per-connection handler), and after
+        ``Cluster.shutdown()`` no entry is left unsettled and no
+        connection open."""
+        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
+        entries = []
+        entry_init = aio_transport._Entry.__init__
+
+        def recording_init(self, *args):
+            entry_init(self, *args)
+            entries.append(self)
+
+        monkeypatch.setattr(aio_transport._Entry, "__init__", recording_init)
+        cluster = Cluster(Mode.DISTA)
+        node1 = cluster.add_node("node1")
+        node2 = cluster.add_node("node2")
+        with cluster:
+            transports = [node1.taintmap.transport, node2.taintmap.transport]
+            server = ServerSocket(node2, 9000)
+            client = Socket.connect(node1, (node2.ip, 9000))
+            connection = server.accept()
+
+            secret = node1.tree.taint_for_tag("secret")
+            before = set(threading.enumerate())
+            gid = node1.taintmap.gid_for(secret)
+            started = set(threading.enumerate()) - before
+            assert gid > 0
+            assert {thread.name for thread in started} <= {"taintmap-conn"}
+
+            message = TBytes(b"user=") + TBytes.tainted(b"hunter2", secret)
+            client.get_output_stream().write(message)
+            received = connection.get_input_stream().read_fully(len(message))
+            assert {t.tag for t in received[5:].overall_taint().tags} == {"secret"}
+            assert received[:5].overall_taint() is None
+        assert entries, "the exchange never reached the transport"
+        assert all(entry.done for entry in entries)
+        for transport in transports:
+            assert transport._conns == []
+            for shard in transport._shards:
+                assert shard.conn is None
+                assert all(not window.entries for window in shard.windows)
+                assert all(not window.inflight for window in shard.windows)
 
 
 class TestCloseErrorSuppression:

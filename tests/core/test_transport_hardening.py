@@ -2,24 +2,19 @@
 16-bit batch-count overflow (protocol chunking + mid-insertion size
 flush), shutdown with an in-flight flush, per-request deadlines on a
 stalled shard, fresh broken-connection errors, correlation-id wrap,
-backpressure policies, the timer-free group-commit flush policy, and
-the non-blocking send path with its executor fallback.
+backpressure policies and the caller-runs group-commit flush policy.
 """
 
-import asyncio
 import itertools
 import struct
 import threading
 import time
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.aio_transport import (
-    AsyncTaintMapClient,
-    _MuxConnection,
-    _REGISTER,
-    mux_frame,
-)
+from repro.core.aio_transport import AsyncTaintMapClient, _REGISTER, _Request
 from repro.core.taintmap import (
     OP_REGISTER,
     PROTOCOL_MAX_BATCH,
@@ -68,6 +63,19 @@ def _wait_until(predicate, timeout=5.0, interval=0.005):
             return True
         time.sleep(interval)
     return predicate()
+
+
+def _flush(transport, shard, kind):
+    """Send a shard's parked window now, as a size flush would."""
+    with transport._lock:
+        request = transport._take_locked(shard, kind, "size")
+    transport._send([request])
+
+
+def _in_flight(transport, shard=0):
+    """The requests correlated on the shard's current connection."""
+    conn = transport._shards[shard].conn
+    return list(conn.pending.values()) if conn is not None else []
 
 
 class TestProtocolBatchLimit:
@@ -157,19 +165,18 @@ class TestShutdownWithInflightFlush:
 
         thread = threading.Thread(target=register, daemon=True)
         thread.start()
-        assert _wait_until(
-            lambda: client.transport._inflight_flushes
-            or client.transport._pending_counts[0] > 0
-        )
+        assert _wait_until(lambda: _in_flight(client.transport))
+        (straggler,) = _in_flight(client.transport)
         started = time.monotonic()
         client.close()
         assert time.monotonic() - started < 8.0
         thread.join(timeout=8)
         assert not thread.is_alive(), "submitter still blocked after close()"
         assert errors and isinstance(errors[0], TaintMapError)
-        # The per-shard lists survive close(): a straggling in-flight
-        # flush draining afterwards must not die with IndexError.
-        client.transport._drain(0, 0)
+        # The per-shard state survives close(): a reply that straggles in
+        # afterwards settles harmlessly instead of dying with IndexError.
+        assert client.transport._on_reply(straggler, STATUS_OK, struct.pack(">I", 7)) == []
+        assert client.transport._shards[0].pending == 0
         client.close()  # idempotent
         server.stop()
 
@@ -250,6 +257,67 @@ class TestRequestDeadline:
         client.close()
         listener.close()
 
+    def test_deadline_bounds_an_unacknowledged_upgrade(self, single):
+        """A shard that accepts the connection but never acknowledges
+        ``OP_MUX_HELLO`` fails the request within the deadline, not the
+        kernel's 30 s blocking timeout."""
+        kernel, _, server, node = single
+        server.stop()
+        listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
+        accepted = []
+        thread = threading.Thread(
+            target=lambda: accepted.append(listener.accept(timeout=10)), daemon=True
+        )
+        thread.start()
+        client = AsyncTaintMapClient(
+            node, (TAINT_MAP_IP, TAINT_MAP_PORT), request_deadline_s=0.3
+        )
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            client.gid_for(node.tree.taint_for_tag("unacknowledged"))
+        assert time.monotonic() - started < 5.0
+        thread.join(5)
+        assert accepted and accepted[0] is not None
+        client.close()
+        listener.close()
+
+    def test_deadline_fails_only_its_own_caller(self):
+        """Two callers share one entry; the first one's deadline fires
+        while the flush is on the wire.  It fails alone: the second
+        caller (whose deadline is later) still reads the reply, even if
+        the first held the read role when it gave up."""
+        kernel = SimKernel("shared-deadline-test")
+        kernel.register_node(TAINT_MAP_IP)
+        server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, service_time=0.5)
+        server.start()
+        node = _node(kernel, SimFileSystem())
+        # The window flushes at t=1.0 and the reply lands at about t=1.5:
+        # after the first caller's deadline (1.2), before the second's (2.0).
+        client = AsyncTaintMapClient(
+            node, server.address, coalesce_window_us=1_000_000, request_deadline_s=1.2
+        )
+        taint = node.tree.taint_for_tag("shared")
+        outcomes = {}
+
+        def register(name):
+            try:
+                outcomes[name] = client.gid_for(taint)
+            except Exception as exc:  # noqa: BLE001 - recorded for asserts
+                outcomes[name] = exc
+
+        first = threading.Thread(target=register, args=("first",), daemon=True)
+        second = threading.Thread(target=register, args=("second",), daemon=True)
+        first.start()
+        time.sleep(0.8)
+        second.start()
+        first.join(5)
+        second.join(5)
+        assert isinstance(outcomes["first"], TaintMapDeadlineError)
+        assert isinstance(outcomes["second"], int) and outcomes["second"] > 0
+        assert server.stats.register_requests == 1
+        client.close()
+        server.stop()
+
     def test_deadline_disabled_with_nonpositive_value(self, single):
         _, _, server, node = single
         client = AsyncTaintMapClient(node, server.address, request_deadline_s=0)
@@ -265,17 +333,21 @@ class TestBrokenConnectionErrors:
         _, _, server, node = single
         client = AsyncTaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("pre")) > 0
-        connection = client.transport._channels[0]._connection
-        connection._endpoint.close()
-        assert _wait_until(lambda: connection.broken)
+        transport = client.transport
+        connection = transport._shards[0].conn
+        connection.endpoint.close()
+        # The next reader finds the connection dead and drops it.
+        connection.reading = True
+        assert transport._read(connection, 1.0) == []
+        assert connection.broken is not None
+        assert transport._shards[0].conn is None
 
-        loop = client.transport.loop
         raised = []
         for _ in range(2):
-            future = asyncio.run_coroutine_threadsafe(
-                connection.request(OP_REGISTER, b""), loop
-            )
-            raised.append(future.exception(timeout=5))
+            with pytest.raises(TaintMapTransportError) as info:
+                with transport._lock:
+                    connection.correlate(_Request(0, None, OrderedDict()))
+            raised.append(info.value)
         first, second = raised
         assert isinstance(first, TaintMapTransportError)
         assert isinstance(second, TaintMapTransportError)
@@ -284,7 +356,9 @@ class TestBrokenConnectionErrors:
         # TaintMapError — the wrapper is both.
         assert isinstance(first, ConnectionError)
         assert isinstance(first, TaintMapError)
-        assert first.__cause__ is connection._broken
+        assert first.__cause__ is connection.broken
+        # The client itself redials.
+        assert client.gid_for(node.tree.taint_for_tag("post")) > 0
         client.close()
 
 
@@ -295,7 +369,7 @@ class TestCorrelationIdWrap:
         _, _, server, node = single
         client = AsyncTaintMapClient(node, server.address)
         gids = [client.gid_for(node.tree.taint_for_tag("wrap0"))]
-        connection = client.transport._channels[0]._connection
+        connection = client.transport._shards[0].conn
         # Jump the counter to the edge of the 4-byte field; the next
         # requests use corr ids 2**32-2, 2**32-1, 0, 1 on the wire.
         connection._corr = itertools.count(2**32 - 2)
@@ -314,35 +388,29 @@ class TestCorrelationIdWrap:
         client = AsyncTaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("collide0")) > 0
         transport = client.transport
-        connection = transport._channels[0]._connection
-
-        planted = threading.Event()
-
-        def plant():
-            connection._pending[1] = transport.loop.create_future()
-            planted.set()
-
-        transport.loop.call_soon_threadsafe(plant)
-        assert planted.wait(5)
+        connection = transport._shards[0].conn
+        planted = _Request(0, None, OrderedDict())
+        with transport._lock:
+            connection.pending[1] = planted
         # The next allocation computes (2**32 + 1) & 0xFFFFFFFF == 1 —
         # exactly the planted in-flight id.
         connection._corr = itertools.count(2**32 + 1)
         assert client.gid_for(node.tree.taint_for_tag("collide1")) > 0
-        assert 1 in connection._pending, "pending future was overwritten"
-        assert not connection._pending[1].done()
+        assert connection.pending.get(1) is planted, "pending request was overwritten"
         client.close()
 
 
 class TestBackpressure:
-    def _dispatch_register(self, client, node, tag):
-        transport = client.transport
-        loop = transport._ensure_loop()
-        payload = serialize_tags(node.tree.taint_for_tag(tag).tags)
-        return asyncio.run_coroutine_threadsafe(
-            transport._dispatch(0, OP_REGISTER, payload), loop
-        )
+    @pytest.fixture()
+    def pool(self):
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            yield pool
 
-    def test_shed_policy_rejects_past_high_water_mark(self, single):
+    def _submit_register(self, pool, client, node, tag):
+        payload = serialize_tags(node.tree.taint_for_tag(tag).tags)
+        return pool.submit(client.transport.submit, 0, OP_REGISTER, payload)
+
+    def test_shed_policy_rejects_past_high_water_mark(self, single, pool):
         _, _, server, node = single
         client = AsyncTaintMapClient(
             node,
@@ -353,29 +421,25 @@ class TestBackpressure:
         )
         transport = client.transport
         futures = [
-            self._dispatch_register(client, node, f"shed{i}") for i in range(4)
+            self._submit_register(pool, client, node, f"shed{i}") for i in range(4)
         ]
-        assert _wait_until(lambda: transport._pending_counts[0] == 4)
-        overflow = self._dispatch_register(client, node, "shed-overflow")
+        assert _wait_until(lambda: transport._shards[0].pending == 4)
+        overflow = self._submit_register(pool, client, node, "shed-overflow")
         exc = overflow.exception(timeout=5)
         assert isinstance(exc, TaintMapBackpressureError)
         assert isinstance(exc, TaintMapError)
         # Draining the window readmits new work.
-        transport.loop.call_soon_threadsafe(
-            transport._flush_now, 0, _REGISTER, "size"
-        )
+        _flush(transport, 0, _REGISTER)
         gids = {struct.unpack(">I", f.result(timeout=5))[0] for f in futures}
         assert len(gids) == 4
-        assert _wait_until(lambda: transport._pending_counts[0] == 0)
-        retry = self._dispatch_register(client, node, "shed-retry")
-        assert _wait_until(lambda: transport._pending_counts[0] == 1)
-        transport.loop.call_soon_threadsafe(
-            transport._flush_now, 0, _REGISTER, "size"
-        )
+        assert _wait_until(lambda: transport._shards[0].pending == 0)
+        retry = self._submit_register(pool, client, node, "shed-retry")
+        assert _wait_until(lambda: transport._shards[0].pending == 1)
+        _flush(transport, 0, _REGISTER)
         assert struct.unpack(">I", retry.result(timeout=5))[0] > 0
         client.close()
 
-    def test_block_policy_flushes_and_waits_for_drain(self, single):
+    def test_block_policy_flushes_and_waits_for_drain(self, single, pool):
         _, _, server, node = single
         client = AsyncTaintMapClient(
             node,
@@ -385,57 +449,46 @@ class TestBackpressure:
             backpressure="block",
         )
         transport = client.transport
-        first = self._dispatch_register(client, node, "blk0")
-        second = self._dispatch_register(client, node, "blk1")
-        assert _wait_until(lambda: transport._pending_counts[0] == 2)
+        first = self._submit_register(pool, client, node, "blk0")
+        second = self._submit_register(pool, client, node, "blk1")
+        assert _wait_until(lambda: transport._shards[0].pending == 2)
         # The third blocks at the mark — and must flush the parked
         # window itself (nothing else would drain it) before waiting.
-        third = self._dispatch_register(client, node, "blk2")
+        third = self._submit_register(pool, client, node, "blk2")
         assert struct.unpack(">I", first.result(timeout=5))[0] > 0
         assert struct.unpack(">I", second.result(timeout=5))[0] > 0
         # The third was admitted after the drain and now parks alone.
-        assert _wait_until(lambda: transport._pending_counts[0] == 1)
+        assert _wait_until(lambda: transport._shards[0].pending == 1)
         assert not third.done()
-        transport.loop.call_soon_threadsafe(
-            transport._flush_now, 0, _REGISTER, "size"
-        )
+        _flush(transport, 0, _REGISTER)
         assert struct.unpack(">I", third.result(timeout=5))[0] > 0
         client.close()
 
 
 class TestTimerFreeCoalescing:
-    def test_sequential_default_path_arms_no_timer(self, single, monkeypatch):
-        """Idle traffic flushes on the next loop turn: no loop timer, so
-        no millisecond-rounded selector wait per request.  A pinned
-        window still arms its static timer (the spy's control)."""
+    def test_sequential_default_path_arms_no_timer(self, single):
+        """Idle traffic flushes at once on the caller's thread: no
+        timer wait per request.  A pinned window still waits out its
+        static timer (the control)."""
         _, _, server, node = single
-        armed = []
-
-        def spy_on(transport):
-            loop = transport._ensure_loop()
-            real_call_later = loop.call_later
-
-            def call_later(delay, *args, **kwargs):
-                armed.append(delay)
-                return real_call_later(delay, *args, **kwargs)
-
-            monkeypatch.setattr(loop, "call_later", call_later)
-
         client = AsyncTaintMapClient(node, server.address, cache_enabled=False)
-        spy_on(client.transport)
+        reasons = client.transport._flush_reason
+
+        def flushes():
+            return {r: reasons.labels(reason=r).value for r in ("idle", "timer", "chained")}
+
         for i in range(8):
             gid = client.gid_for(node.tree.taint_for_tag(f"seq{i}"))
             assert {t.tag for t in client.taint_for(gid).tags} == {f"seq{i}"}
-        assert armed == []
+        assert flushes() == {"idle": 16, "timer": 0, "chained": 0}
         assert client.requests_sent == 16
         client.close()
 
         pinned = AsyncTaintMapClient(
             node, server.address, cache_enabled=False, coalesce_window_us=0.0
         )
-        spy_on(pinned.transport)
         pinned.gid_for(node.tree.taint_for_tag("pinned"))
-        assert armed == [0.0]
+        assert flushes() == {"idle": 16, "timer": 1, "chained": 0}
         pinned.close()
 
     def test_arrivals_during_held_flush_chain_into_one_flush(self):
@@ -456,11 +509,11 @@ class TestTimerFreeCoalescing:
 
         threads = [threading.Thread(target=register, args=(0,), daemon=True)]
         threads[0].start()
-        assert _wait_until(lambda: transport._inflight_flushes)
+        assert _wait_until(lambda: _in_flight(transport))
         for i in range(1, workers + 1):
             threads.append(threading.Thread(target=register, args=(i,), daemon=True))
             threads[-1].start()
-        assert _wait_until(lambda: transport._pending_counts[0] == workers + 1)
+        assert _wait_until(lambda: transport._shards[0].pending == workers + 1)
         for thread in threads:
             thread.join(timeout=10)
             assert not thread.is_alive()
@@ -468,6 +521,7 @@ class TestTimerFreeCoalescing:
         # The held flush plus one chained flush for every arrival.
         assert client.requests_sent <= 2
         assert server.stats.register_entries == workers + 1
+        assert transport._flush_reason.labels(reason="chained").value == 1
         client.close()
         server.stop()
 
@@ -491,18 +545,12 @@ class TestTimerFreeCoalescing:
 
         threads = [threading.Thread(target=register, args=(0,), daemon=True)]
         threads[0].start()
-
-        def held_on_the_wire():
-            channels = transport._channels
-            connection = channels[0]._connection if channels else None
-            return connection is not None and connection._pending
-
-        assert _wait_until(held_on_the_wire)
+        assert _wait_until(lambda: _in_flight(transport))
         for i in range(1, 4):
             threads.append(threading.Thread(target=register, args=(i,), daemon=True))
             threads[-1].start()
         assert _wait_until(
-            lambda: len(transport._windows[0][_REGISTER].entries) == 3
+            lambda: len(transport._shards[0].windows[_REGISTER].entries) == 3
         )
         started = time.monotonic()
         client.close()
@@ -513,49 +561,6 @@ class TestTimerFreeCoalescing:
         assert len(errors) == 4
         assert all(isinstance(exc, TaintMapError) for exc in errors)
         server.stop()
-
-    def test_send_overflowing_the_pipe_completes_via_executor(self):
-        """A frame larger than the pipe is written partly on the loop
-        thread; the remainder goes to the executor while the loop keeps
-        running, and frames queued behind it are never interleaved."""
-        kernel = SimKernel("overflow-test")
-        kernel.register_node(TAINT_MAP_IP)
-        kernel.register_node("10.0.0.1")
-        listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
-        client_end = kernel.connect("10.0.0.1", (TAINT_MAP_IP, TAINT_MAP_PORT))
-        server_end = listener.accept(timeout=5)
-        loop = asyncio.new_event_loop()
-        loop_thread = threading.Thread(target=loop.run_forever, daemon=True)
-        loop_thread.start()
-        try:
-            connection = _MuxConnection(loop, client_end)
-            big = bytes(range(256)) * 1024  # 256 KiB: four pipes' worth
-            first = asyncio.run_coroutine_threadsafe(
-                connection.request(OP_REGISTER, big), loop
-            )
-            # Nobody reads yet: the remainder is parked in the executor,
-            # and the loop still serves other work.
-            assert _wait_until(lambda: connection._unsent)
-            asyncio.run_coroutine_threadsafe(asyncio.sleep(0), loop).result(1)
-            second = asyncio.run_coroutine_threadsafe(
-                connection.request(OP_REGISTER, b"small"), loop
-            )
-            assert _wait_until(lambda: len(connection._unsent) == 2)
-            expected = mux_frame(1, OP_REGISTER, big) + mux_frame(2, OP_REGISTER, b"small")
-            assert _recv_exact(server_end, len(expected)) == expected
-            for corr in (2, 1):  # answer out of order
-                server_end.send_all(
-                    struct.pack(">IBI", corr, STATUS_OK, 4) + struct.pack(">I", corr)
-                )
-            assert second.result(5) == (STATUS_OK, struct.pack(">I", 2))
-            assert first.result(5) == (STATUS_OK, struct.pack(">I", 1))
-            assert _wait_until(lambda: not connection._unsent)
-        finally:
-            client_end.close()
-            server_end.close()
-            loop.call_soon_threadsafe(loop.stop)
-            loop_thread.join(timeout=5)
-            loop.close()
 
 
 class TestLaunchAndEnvKnobs:
