@@ -77,9 +77,7 @@ def _make_stream_send(runtime: DisTARuntime):
 
     def wrapper(original):
         def patched(fd, data: TBytes, *args, **kwargs):
-            cells = wire.encode_cells(
-                runtime.outgoing(data), runtime.client.gid_for, runtime.client.gids_for
-            )
+            cells = wire.encode_cells(runtime.outgoing(data), runtime.resolver)
             return original(fd, TBytes.raw(cells), *args, **kwargs)
 
         return patched
@@ -105,11 +103,7 @@ def _make_stream_receive(runtime: DisTARuntime):
                 if count == EOF:
                     decoder.check_clean_eof()
                     return EOF
-                decoded = decoder.feed(
-                    staging.read(0, count).data,
-                    runtime.client.taint_for,
-                    runtime.client.taints_for,
-                )
+                decoded = decoder.feed(staging.read(0, count).data, runtime.resolver)
                 if decoded:
                     buf.write(offset, decoded)
                     return len(decoded)
@@ -127,9 +121,7 @@ def _make_packet_send(runtime: DisTARuntime):
         def patched(fd, data: TBytes, destination, *args, **kwargs):
             payload = runtime.outgoing(data)
             _check_envelope_fits(len(payload))
-            envelope = wire.encode_packet(
-                payload, runtime.client.gid_for, runtime.client.gids_for
-            )
+            envelope = wire.encode_packet(payload, runtime.resolver)
             return original(fd, TBytes.raw(envelope), destination, *args, **kwargs)
 
         return patched
@@ -145,12 +137,7 @@ def _make_packet_receive(runtime: DisTARuntime):
             data, source = original(fd, *args, **kwargs)
             raw = data if isinstance(data, TBytes) else TBytes.raw(bytes(data))
             if wire.is_enveloped(raw.data):
-                return (
-                    wire.decode_packet(
-                        raw.data, runtime.client.taint_for, runtime.client.taints_for
-                    ),
-                    source,
-                )
+                return wire.decode_packet(raw.data, runtime.resolver), source
             return TBytes(raw.data), source
 
         return patched

@@ -19,10 +19,14 @@ Global ID 0 is the empty taint and never touches the Taint Map.
 
 Implementation note: shadows are run-length encoded
 (:class:`~repro.taint.values.LabelRuns`), and the codecs work directly
-on runs — encoding fills one GID region per run and decoding rebuilds
-runs from GID boundaries, so the Python-level cost is O(runs) and the
-per-byte work is vectorized numpy, the way DisTA's JIT-compiled
-instrumentation amortizes it.  When the caller supplies the batched
+on runs, so the Python-level cost is O(runs) and the per-byte work runs
+in C, the way DisTA's JIT-compiled instrumentation amortizes it.
+Encoding is pure bytes ops: each run repeats one ``gid`` unit into a
+zeroed column and the data column lands in one strided slice
+assignment.  Decoding views the stream through a numpy structured dtype
+and finds runs at GID change points; a frame with no change point (the
+common one-taint message) resolves straight into a single run.  When
+the caller supplies the batched
 resolvers (``gids_for``/``taints_for``, see
 :class:`~repro.core.taintmap.TaintMapClient`), all of a message's
 distinct labels resolve in a single Taint Map round-trip.
@@ -91,16 +95,22 @@ class LabelResolver:
         )
 
 
-def _gid_resolvers(gid_for, gids_for):
+def _gids(labels: list, gid_for, gids_for) -> list:
+    """Global IDs of distinct labels, in one batched call when possible."""
     if isinstance(gid_for, LabelResolver):
-        return gid_for.gid_for, gid_for.gids_for
-    return gid_for, gids_for
+        gid_for, gids_for = gid_for.gid_for, gid_for.gids_for
+    if gids_for is not None:
+        return gids_for(labels)
+    return [gid_for(label) for label in labels]
 
 
-def _taint_resolvers(taint_for, taints_for):
+def _taints(gids: list, taint_for, taints_for) -> list:
+    """Taints of distinct Global IDs, in one batched call when possible."""
     if isinstance(taint_for, LabelResolver):
-        return taint_for.taint_for, taint_for.taints_for
-    return taint_for, taints_for
+        taint_for, taints_for = taint_for.taint_for, taint_for.taints_for
+    if taints_for is not None:
+        return taints_for(gids)
+    return [taint_for(gid) for gid in gids]
 
 
 _GID_BE = np.dtype(">u4")
@@ -111,59 +121,57 @@ _CELL_DTYPE = np.dtype([("data", np.uint8), ("gid", _GID_BE)])
 assert _CELL_DTYPE.itemsize == CELL_WIDTH
 
 
-def _coerce_runs(length: int, labels) -> Optional[LabelRuns]:
-    if labels is None or isinstance(labels, LabelRuns):
-        return labels
-    return LabelRuns.from_list(labels)
+def _gid_column(data: TBytes, gid_for, gids_for, slot: bytes) -> bytearray:
+    """``data``'s Global IDs as one column, built run by run.
+
+    Every byte gets ``slot`` followed by its big-endian GID:
+    ``slot=b"\\0"`` reserves each cell's data byte for the caller to
+    fill, ``slot=b""`` yields a packet trailer.  The column starts
+    zeroed (GID 0 is the empty taint), and each run is one repeated
+    ``slot + gid`` unit spliced over its range.  An untainted payload
+    has no runs, so it costs one zeroed allocation and no resolver call.
+    """
+    width = len(slot) + GID_WIDTH
+    column = bytearray(width * len(data))
+    labels = data.labels
+    runs = labels.runs if labels is not None else ()
+    if runs:
+        unique = labels.unique_labels()
+        units = {
+            id(label): slot + gid.to_bytes(GID_WIDTH, "big")
+            for label, gid in zip(unique, _gids(unique, gid_for, gids_for))
+        }
+        for start, end, label in runs:
+            column[start * width : end * width] = units[id(label)] * (end - start)
+    return column
 
 
-def _resolve_gids(labels: LabelRuns, gid_for: GidFor, gids_for: Optional[GidsFor]) -> dict:
-    """Map each distinct run label (by identity) to its Global ID."""
-    unique = labels.unique_labels()
-    if gids_for is not None:
-        gids = gids_for(unique)
-    else:
-        gids = [gid_for(label) for label in unique]
-    return {id(label): gid for label, gid in zip(unique, gids)}
-
-
-def _gid_array(
-    length: int, labels, gid_for: GidFor, gids_for: Optional[GidsFor] = None
-) -> np.ndarray:
-    """Per-byte Global IDs as a big-endian u32 array, filled per run."""
-    gids = np.zeros(length, dtype=_GID_BE)
-    labels = _coerce_runs(length, labels)
-    if labels is None or not labels.has_labels():
-        return gids
-    mapping = _resolve_gids(labels, gid_for, gids_for)
-    for start, end, label in labels.runs:
-        gid = mapping[id(label)]
-        if gid:
-            gids[start:end] = gid
-    return gids
-
-
-def _label_runs(
-    gids: np.ndarray, taint_for: TaintFor, taints_for: Optional[TaintsFor] = None
-) -> Optional[LabelRuns]:
+def _label_runs(gids: np.ndarray, taint_for, taints_for) -> Optional[LabelRuns]:
     """Shadow runs from a per-byte GID array.
 
     Run boundaries come from GID changes; each distinct GID resolves
     once (one batched round-trip when ``taints_for`` is supplied).
-    Returns ``None`` when every GID is 0 (untainted payload).
+    Returns ``None`` when every GID is 0 (untainted payload).  A column
+    with no change point is one run over the whole frame and resolves
+    straight into :meth:`LabelRuns.filled`.
     """
-    if not gids.any():
+    n = len(gids)
+    first = gids[0] if n else 0
+    # A frame that opens tainted skips the all-zero test; one that opens
+    # untainted pays exactly the one ``any`` pass.
+    if not first and not gids.any():
         return None
-    n = int(gids.shape[0])
+    if first == gids[-1]:
+        column = gids.tobytes()
+        if column == column[:GID_WIDTH] * n:
+            (taint,) = _taints([int(first)], taint_for, taints_for)
+            return LabelRuns.filled(n, taint)
     boundaries = (np.flatnonzero(gids[1:] != gids[:-1]) + 1).tolist()
     starts = [0] + boundaries
     ends = boundaries + [n]
     run_gids = [int(gids[s]) for s in starts]
     unique = sorted({g for g in run_gids if g})
-    if taints_for is not None:
-        mapping = dict(zip(unique, taints_for(unique)))
-    else:
-        mapping = {g: taint_for(g) for g in unique}
+    mapping = dict(zip(unique, _taints(unique, taint_for, taints_for)))
     return LabelRuns(
         n, ((s, e, mapping[g]) for s, e, g in zip(starts, ends, run_gids) if g)
     )
@@ -176,27 +184,9 @@ def encode_cells(
 
     ``gid_for`` may be a :class:`LabelResolver` in place of the bare
     callables (the wrapper-facing form)."""
-    gid_for, gids_for = _gid_resolvers(gid_for, gids_for)
-    length = len(data)
-    if length == 0:
-        return b""
-    labels = _coerce_runs(length, data.labels)
-    if labels is None or not labels.has_labels():
-        # Zero-taint fast path: every GID is 0, so the frame is just the
-        # data column scattered into a zeroed cell grid — no per-byte
-        # GID array, no resolver call, no Taint Map round-trip.  The
-        # result is byte-identical to the general path below.
-        out = np.zeros((length, CELL_WIDTH), dtype=np.uint8)
-        out[:, 0] = np.frombuffer(data.data, dtype=np.uint8)
-        return out.tobytes()
-    out = np.empty((length, CELL_WIDTH), dtype=np.uint8)
-    out[:, 0] = np.frombuffer(data.data, dtype=np.uint8)
-    out[:, 1:] = (
-        _gid_array(length, labels, gid_for, gids_for)
-        .view(np.uint8)
-        .reshape(length, GID_WIDTH)
-    )
-    return out.tobytes()
+    out = _gid_column(data, gid_for, gids_for, b"\0")
+    out[0::CELL_WIDTH] = data.data
+    return bytes(out)
 
 
 class CellDecoder:
@@ -223,7 +213,6 @@ class CellDecoder:
         """Decode every complete cell in ``residue + wire``.
 
         ``taint_for`` may be a :class:`LabelResolver`."""
-        taint_for, taints_for = _taint_resolvers(taint_for, taints_for)
         buffered = bool(self._buffer)
         if buffered:
             self._buffer += wire
@@ -281,16 +270,8 @@ def encode_packet(
     """Serialize one datagram payload + taints into an envelope.
 
     ``gid_for`` may be a :class:`LabelResolver`."""
-    gid_for, gids_for = _gid_resolvers(gid_for, gids_for)
-    length = len(data)
-    header = PACKET_MAGIC + bytes([PACKET_VERSION]) + struct.pack(">I", length)
-    labels = _coerce_runs(length, data.labels)
-    if labels is None or not labels.has_labels():
-        # Zero-taint fast path: the GID trailer is all zeroes — emit it
-        # directly, byte-identical to the general path below.
-        return header + data.data + bytes(length * GID_WIDTH)
-    gids = _gid_array(length, labels, gid_for, gids_for)
-    return header + data.data + gids.tobytes()
+    header = PACKET_MAGIC + bytes([PACKET_VERSION]) + struct.pack(">I", len(data))
+    return header + data.data + _gid_column(data, gid_for, gids_for, b"")
 
 
 def is_enveloped(raw: bytes) -> bool:
@@ -309,7 +290,6 @@ def decode_packet(
     want uninstrumented-sender interop should check :func:`is_enveloped`
     first and fall back to treating the payload as plain data.
     """
-    taint_for, taints_for = _taint_resolvers(taint_for, taints_for)
     if not is_enveloped(raw):
         raise WireFormatError("datagram payload lacks the DisTA envelope magic")
     version = raw[len(PACKET_MAGIC)]
@@ -322,8 +302,7 @@ def decode_packet(
             f"envelope truncated: {len(raw)} bytes, header promises {expected}"
         )
     data = raw[PACKET_HEADER : PACKET_HEADER + length]
-    gid_area = raw[PACKET_HEADER + length : expected]
-    gids = np.frombuffer(gid_area, dtype=_GID_BE)
+    gids = np.frombuffer(raw, dtype=_GID_BE, count=length, offset=PACKET_HEADER + length)
     labels = _label_runs(gids, taint_for, taints_for)
     if labels is None:
         return TBytes.raw(data)

@@ -108,9 +108,8 @@ class DisTARuntime:
             self._fastpath = self.metrics.counter(
                 "dista_fastpath_total",
                 "Crossings by taint-state-specialized codec path: fast = "
-                "zero-taint short circuit (no GID array, no resolver "
-                "call, no Taint Map round-trip), slow = shadow codec "
-                "engaged.",
+                "zero-taint short circuit (no resolver call, no Taint "
+                "Map round-trip), slow = shadow codec engaged.",
                 ("site", "path"),
             )
             # Pre-declare the transport-side families (the async client

@@ -9,6 +9,7 @@ them like the built-in 23.
 
 import pytest
 
+from repro.core import wire
 from repro.core.agent import DisTAAgent
 from repro.core.extensions import ExtensionPoint, WrapperType
 from repro.errors import InstrumentationError
@@ -132,6 +133,58 @@ class TestCustomTransportTracking:
             buf = TByteArray(4)
             n2.jni.rdma_recv0(server_fd, buf, 0, 4)
             assert buf.read(0, 4).overall_taint() is None
+
+
+class CountingResolver(wire.LabelResolver):
+    """Wraps a runtime's resolver and counts calls per direction — the
+    stand-in for the timed facade ``DisTARuntime.attach_budget``
+    installs."""
+
+    def __init__(self, base: wire.LabelResolver):
+        self.calls = {"encode": 0, "decode": 0}
+
+        def counted(fn, direction):
+            def call(arg):
+                self.calls[direction] += 1
+                return fn(arg)
+
+            return call
+
+        super().__init__(
+            counted(base.gid_for, "encode"),
+            counted(base.taint_for, "decode"),
+            counted(base.gids_for, "encode"),
+            counted(base.taints_for, "decode"),
+        )
+
+
+class TestResolverRouting:
+    def test_extension_wrappers_resolve_through_runtime_resolver(self, custom_cluster):
+        """Extension wrappers must go through ``runtime.resolver`` like the
+        built-in ones, so a budget's timed facade sees their registration
+        and lookup cost."""
+        cluster, n1, n2 = custom_cluster
+        agent = DisTAAgent(cluster.taint_map_addresses, extensions=EXTENSIONS)
+        resolvers = {}
+        for node in (n1, n2):
+            # Re-attach by hand to hold the runtime (the cluster's own
+            # attach discards it).
+            agent.detach(node)
+            runtime = agent.attach(node)
+            runtime.resolver = resolvers[node.name] = CountingResolver(
+                runtime.resolver
+            )
+
+        listener = n1.kernel.listen(n2.ip, 7903)
+        client_fd = n1.kernel.connect(n1.ip, (n2.ip, 7903))
+        server_fd = listener.accept()
+        taint = n1.tree.taint_for_tag("budgeted")
+        n1.jni.rdma_send0(client_fd, TBytes.tainted(b"metered", taint))
+        buf = TByteArray(7)
+        assert n2.jni.rdma_recv0(server_fd, buf, 0, 7) == 7
+        assert {t.tag for t in buf.read(0, 7).overall_taint().tags} == {"budgeted"}
+        assert resolvers["n1"].calls["encode"] == 1
+        assert resolvers["n2"].calls["decode"] == 1
 
 
 class TestPacketExtension:

@@ -141,8 +141,8 @@ class TestDifferentialEncoding:
                 assert encoded == expected, f"pattern {name}: envelope differs"
 
     def test_untainted_encode_never_calls_resolver(self, tree):
-        """The fast path's defining property: no GID array, no resolver,
-        no Taint Map round-trip for clean payloads."""
+        """The fast path's defining property: no resolver call, no Taint
+        Map round-trip for clean payloads."""
         with POLICY.shadows(True):
             resolver = CountingResolver()
             wire.encode_cells(TBytes(b"clean"), resolver.gid_for, resolver.gids_for)
