@@ -40,6 +40,23 @@ from repro.runtime.kernel import MAX_DATAGRAM
 from repro.taint.values import LabelRuns, TByteArray, TBytes
 
 
+#: The five crossing families ``record_io`` feeds, with their help text.
+_IO_HELP = {
+    "dista_jni_calls_total": "Wrapped JNI method invocations.",
+    "dista_jni_bytes_total": "Payload bytes through wrapped JNI methods.",
+    "dista_jni_tainted_bytes_total": (
+        "Tainted payload bytes through wrapped JNI methods "
+        "(divide by dista_jni_bytes_total for the per-method ratio)."
+    ),
+    "dista_crossings_total": "Tainted boundary crossings observed at the wrappers.",
+    "dista_fastpath_total": (
+        "Crossings by taint-state-specialized codec path: fast = "
+        "zero-taint short circuit (no resolver call, no Taint "
+        "Map round-trip), slow = shadow codec engaged."
+    ),
+}
+
+
 class DisTARuntime:
     """Per-node runtime state shared by all wrappers on one JVM."""
 
@@ -73,45 +90,15 @@ class DisTARuntime:
         self._budget = None
         self._lock = threading.Lock()
         self._decoders: dict[int, wire.CellDecoder] = {}
-        #: (method, direction) -> bound metric children; record_io runs
-        #: on every crossing, so the labels() lookups are done once.
-        self._io_children: dict = {}
+        #: (method, direction) -> [calls, bytes, tainted bytes, tainted
+        #: crossings, fast, slow]; record_io bumps one row under one
+        #: lock and ``_io_samples`` folds the rows in at scrape time.
+        self._io_lock = threading.Lock()
+        self._io_rows: dict = {}
         #: Wrapper-boundary telemetry (None for bare test nodes).
         self.metrics = getattr(node, "metrics", None)
-        self._io_calls = None
-        self._io_bytes = None
-        self._io_tainted = None
-        self._crossings = None
-        self._fastpath = None
         if self.metrics is not None:
-            self._io_calls = self.metrics.counter(
-                "dista_jni_calls_total",
-                "Wrapped JNI method invocations.",
-                ("method", "direction"),
-            )
-            self._io_bytes = self.metrics.counter(
-                "dista_jni_bytes_total",
-                "Payload bytes through wrapped JNI methods.",
-                ("method", "direction"),
-            )
-            self._io_tainted = self.metrics.counter(
-                "dista_jni_tainted_bytes_total",
-                "Tainted payload bytes through wrapped JNI methods "
-                "(divide by dista_jni_bytes_total for the per-method ratio).",
-                ("method", "direction"),
-            )
-            self._crossings = self.metrics.counter(
-                "dista_crossings_total",
-                "Tainted boundary crossings observed at the wrappers.",
-                ("direction",),
-            )
-            self._fastpath = self.metrics.counter(
-                "dista_fastpath_total",
-                "Crossings by taint-state-specialized codec path: fast = "
-                "zero-taint short circuit (no resolver call, no Taint "
-                "Map round-trip), slow = shadow codec engaged.",
-                ("site", "path"),
-            )
+            self.metrics.register_collector(self._io_samples)
             # Pre-declare the transport-side families (the async client
             # populates them) so /metrics has the same shape under both
             # transports — zero-valued rather than absent under pooled.
@@ -149,48 +136,64 @@ class DisTARuntime:
                 "Requests in flight on the multiplexed Taint Map connections.",
             )
 
-    def record_io(self, direction: str, method: str, data, channel=None) -> None:
+    def record_io(self, direction: str, method: str, data: TBytes, channel=None) -> None:
         """One wrapper-boundary event: telemetry plus the crossing trace.
 
-        ``channel`` names the wire channel (see ``TcpEndpoint.send_channel``)
-        so the trace can correlate this send with its receive into a span.
+        Bumps this ``(method, direction)`` row under one lock;
+        :meth:`_io_samples` folds the rows into the five crossing
+        families (``_IO_HELP``) at scrape time.  ``channel`` names the
+        wire channel (see ``TcpEndpoint.send_channel``) so the trace can
+        correlate this send with its receive into a span.
         """
+        total = len(data)
+        labels = data.labels
+        # Which codec path this crossing's payload dispatches to: the
+        # predicate mirrors the one in the wire codecs.
+        slow = labels is not None and labels.has_labels()
+        tainted = labels.tainted_byte_count() if slow else 0
         budget = self._budget
-        if self._io_calls is not None or budget is not None:
-            total = len(data)
-            tainted = (
-                data.tainted_byte_count()
-                if hasattr(data, "tainted_byte_count")
-                else 0
-            )
         if budget is not None:
             budget.account_io(method, direction, total, tainted)
-        if self._io_calls is not None:
-            children = self._io_children.get((method, direction))
-            if children is None:
-                children = (
-                    self._io_calls.labels(method=method, direction=direction),
-                    self._io_bytes.labels(method=method, direction=direction),
-                    self._io_tainted.labels(method=method, direction=direction),
-                    self._crossings.labels(direction=direction),
-                    self._fastpath.labels(site=method, path="fast"),
-                    self._fastpath.labels(site=method, path="slow"),
-                )
-                self._io_children[(method, direction)] = children
-            calls, io_bytes, io_tainted, crossings, fast, slow = children
-            calls.inc()
-            io_bytes.inc(total)
-            io_tainted.inc(tainted)
+        key = (method, direction)
+        with self._io_lock:
+            row = self._io_rows.get(key)
+            if row is None:
+                row = self._io_rows[key] = [0, 0, 0, 0, 0, 0]
+            row[0] += 1
+            row[1] += total
+            row[2] += tainted
             if tainted:
-                crossings.inc()
-            # Which codec path this crossing's payload dispatches to:
-            # the predicate mirrors the one in the wire codecs.
-            labels = getattr(data, "labels", None)
-            if labels is None or not labels.has_labels():
-                fast.inc()
-            else:
-                slow.inc()
+                row[3] += 1
+            row[5 if slow else 4] += 1
         self.trace.record(self.node.name, direction, method, data, channel=channel)
+
+    def _io_samples(self) -> dict:
+        """Scrape-time fold of the ``record_io`` rows into the five families."""
+        with self._io_lock:
+            rows = [(key, tuple(row)) for key, row in self._io_rows.items()]
+        series: dict = {name: {} for name in _IO_HELP}
+        for (method, direction), (calls, size, tainted, crossed, fast, slow) in rows:
+            io = (("method", method), ("direction", direction))
+            for name, labels, value in (
+                ("dista_jni_calls_total", io, calls),
+                ("dista_jni_bytes_total", io, size),
+                ("dista_jni_tainted_bytes_total", io, tainted),
+                ("dista_crossings_total", (("direction", direction),), crossed),
+                ("dista_fastpath_total", (("site", method), ("path", "fast")), fast),
+                ("dista_fastpath_total", (("site", method), ("path", "slow")), slow),
+            ):
+                series[name][labels] = series[name].get(labels, 0) + value
+        return {
+            name: {
+                "type": "counter",
+                "help": _IO_HELP[name],
+                "samples": [
+                    {"labels": dict(labels), "value": float(value)}
+                    for labels, value in sorted(by_labels.items())
+                ],
+            }
+            for name, by_labels in series.items()
+        }
 
     def attach_budget(self, controller) -> None:
         """Wire an OverheadBudgetController into this runtime.
@@ -322,6 +325,10 @@ class DisTARuntime:
     def native_write(self, mem: NativeMemory, position: int, data: TBytes) -> None:
         """Bytes into native memory, labels into its shadow."""
         mem.write(position, data.data)
+        self.shadow_write(mem, position, data)
+
+    def shadow_write(self, mem: NativeMemory, position: int, data: TBytes) -> None:
+        """Splice ``data``'s label runs over ``mem``'s shadow — O(runs)."""
         labels = data.labels
         if labels is None or not labels.has_labels():
             # Zero-taint fast path: an untainted write into never-tainted
@@ -331,8 +338,7 @@ class DisTARuntime:
             if shadow is not None and shadow.has_labels():
                 shadow[position : position + len(data)] = LabelRuns(len(data))
             return
-        shadow = self.shadow_for(mem)
-        shadow[position : position + len(data)] = labels
+        self.shadow_for(mem)[position : position + len(data)] = labels
 
 
 # --------------------------------------------------------------------- #
@@ -358,6 +364,8 @@ def make_socket_read0(runtime: DisTARuntime):
     def wrapper(original):
         def socket_read0(fd, buf: TByteArray, offset: int, length: int, timeout=None) -> int:
             length = min(length, len(buf) - offset)
+            if length == 0:
+                return 0
             decoder = runtime.decoder_for(fd)
             staging = TByteArray.raw(wire.wire_length(length))
             while True:
@@ -479,18 +487,7 @@ def make_direct_put(runtime: DisTARuntime):
     def wrapper(original):
         def direct_put(mem: NativeMemory, position: int, src: TBytes) -> None:
             original(mem, position, src)
-            labels = src.labels
-            if labels is None or not labels.has_labels():
-                # Zero-taint fast path: don't materialize a shadow for a
-                # clean put; scrub only if labelled bytes already exist.
-                shadow = runtime.node.jni.native_shadow.get(mem.address)
-                if shadow is not None and shadow.has_labels():
-                    shadow[position : position + len(src)] = LabelRuns(len(src))
-                return
-            # Splice the run representation directly — O(runs), not the
-            # O(bytes) per-byte list effective_labels() would build.
-            shadow = runtime.shadow_for(mem)
-            shadow[position : position + len(src)] = labels
+            runtime.shadow_write(mem, position, src)
 
         return direct_put
 

@@ -281,6 +281,14 @@ class LabelRuns:
             raise ValueError(
                 f"splice of {runs.length} labels into a {stop - start}-byte range"
             )
+        if not self._starts:
+            # Splice into an empty shadow (a fresh receive buffer): the
+            # patch's runs are already normalized and have no neighbours
+            # to merge with, so shift them into place as fresh lists.
+            self._starts = [s + start for s in runs._starts]
+            self._ends = [e + start for e in runs._ends]
+            self._labels = list(runs._labels)
+            return
         spliced = self.slice(0, start).concat(runs).concat(self.slice(stop, self.length))
         self._starts = spliced._starts
         self._ends = spliced._ends
@@ -471,6 +479,9 @@ class TBytes:
     def concat(cls, parts: Sequence) -> "TBytes":
         """Concatenate many pieces in one pass (data and label runs)."""
         parts = [as_tbytes(p) for p in parts]
+        if len(parts) == 1:
+            # TBytes is immutable, so the one part is its own concatenation.
+            return parts[0]
         data = b"".join(p.data for p in parts)
         if all(p.labels is None for p in parts):
             return cls(data)
@@ -570,10 +581,16 @@ class TByteArray:
             self._ensure_labels()[offset:end] = source.labels
         elif self.labels is not None:
             self.labels[offset:end] = LabelRuns(len(source))
+            if not self.labels.has_labels():
+                # Keep the zero-taint invariant: no runs left, no shadow.
+                self.labels = None
 
     def read(self, offset: int, length: int) -> TBytes:
         end = offset + length
-        labels = self.labels.slice(offset, end) if self.labels is not None else None
+        labels = self.labels
+        if labels is not None:
+            whole = offset == 0 and end >= len(self.data)
+            labels = labels.copy() if whole else labels.slice(offset, end)
         return TBytes(bytes(self.data[offset:end]), labels)
 
     def snapshot(self) -> TBytes:

@@ -6,6 +6,10 @@ boundaries, the packet-envelope interop fallback, native-memory shadow
 bookkeeping, and error paths.
 """
 
+import sys
+import threading
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import wire
@@ -83,6 +87,22 @@ class TestType1StreamWrappers:
         buf = TByteArray(8)
         assert n2.jni.socket_read0(conn._endpoint, buf, 0, 8) == 2
         assert n2.jni.socket_read0(conn._endpoint, buf, 0, 8) == EOF
+
+    @pytest.mark.parametrize("mode", [Mode.ORIGINAL, Mode.DISTA])
+    def test_zero_length_read_returns_zero_not_eof(self, mode):
+        """``SocketInputStream.read(b, off, 0)`` returns 0 while data is
+        pending; it neither touches the socket nor reports EOF."""
+        cluster = Cluster(mode)
+        n1 = cluster.add_node("n1")
+        n2 = cluster.add_node("n2")
+        with cluster:
+            conn, client, _ = _connect(n1, n2, 9505)
+            client.get_output_stream().write(TBytes(b"ok"))
+            buf = TByteArray(8)
+            assert n2.jni.socket_read0(conn._endpoint, buf, 0, 0) == 0
+            assert n2.jni.socket_read0(conn._endpoint, buf, 8, 4) == 0
+            assert n2.jni.socket_read0(conn._endpoint, buf, 0, 8) == 2
+            assert bytes(buf.data[:2]) == b"ok"
 
     def test_write_counts_both_jni_hits(self, dista_pair):
         """The wrapper calls the *original* method (Fig. 6), so the
@@ -216,3 +236,149 @@ class TestRuntimeHelpers:
         coarse = DisTARuntime(n1, n1.taintmap, byte_granularity=False)
         assert precise.outgoing(half).label_at(1) is None
         assert coarse.outgoing(half).label_at(1) is taint
+
+
+#: The five crossing families ``record_io`` feeds.
+_CROSSING_FAMILIES = (
+    "dista_jni_calls_total",
+    "dista_jni_bytes_total",
+    "dista_jni_tainted_bytes_total",
+    "dista_crossings_total",
+    "dista_fastpath_total",
+)
+
+#: Per method of the scripted exchange: (calls, bytes, tainted bytes,
+#: fast-path crossings, slow-path crossings).  These are the values the
+#: per-crossing counter children emitted before the rows were folded at
+#: scrape time; the fold must reproduce them exactly.
+_EXCHANGE_ROWS = {
+    "send": {
+        "socketWrite0": (3, 20, 8, 1, 2),
+        "datagram.send": (1, 5, 5, 0, 1),
+        "dispatcher.write0": (1, 4, 4, 0, 1),
+    },
+    "receive": {
+        "socketRead0": (3, 20, 8, 1, 2),
+        "datagram.receive0": (1, 5, 5, 0, 1),
+        "dispatcher.read0": (1, 4, 4, 0, 1),
+    },
+}
+
+
+def _crossing_series(node) -> dict:
+    """family -> {sorted label items (minus ``node``): value}."""
+    snapshot = node.metrics.snapshot()
+    return {
+        name: {
+            tuple(sorted((k, v) for k, v in s["labels"].items() if k != "node")): s["value"]
+            for s in snapshot[name]["samples"]
+        }
+        for name in _CROSSING_FAMILIES
+    }
+
+
+def _expected_series(direction: str, crossings: int) -> dict:
+    out: dict = {name: {} for name in _CROSSING_FAMILIES}
+    for method, (calls, size, tainted, fast, slow) in _EXCHANGE_ROWS[direction].items():
+        io = (("direction", direction), ("method", method))
+        out["dista_jni_calls_total"][io] = calls
+        out["dista_jni_bytes_total"][io] = size
+        out["dista_jni_tainted_bytes_total"][io] = tainted
+        out["dista_fastpath_total"][(("path", "fast"), ("site", method))] = fast
+        out["dista_fastpath_total"][(("path", "slow"), ("site", method))] = slow
+    out["dista_crossings_total"][(("direction", direction),)] = crossings
+    return out
+
+
+class TestCrossingTelemetry:
+    def test_scripted_exchange_pins_every_crossing_family(self, dista_pair):
+        """Tainted, untainted and mixed stream writes, one datagram and
+        one Type-3 dispatcher write/read: every series of the five
+        crossing families, per label set, on both nodes."""
+        cluster, n1, n2 = dista_pair
+        for node in (n1, n2):
+            # Each family exists, empty, before the first crossing.
+            assert _crossing_series(node) == {name: {} for name in _CROSSING_FAMILIES}
+        conn, client, _ = _connect(n1, n2, 9510)
+        taint = n1.tree.taint_for_tag("secret")
+        out = client.get_output_stream()
+
+        def drain(count):
+            buf = TByteArray(count)
+            got = 0
+            while got < count:
+                got += n2.jni.socket_read0(conn._endpoint, buf, got, count - got)
+
+        out.write(TBytes.tainted(b"secret", taint))
+        drain(6)
+        out.write(TBytes(b"plain-text"))
+        drain(10)
+        out.write(TBytes(b"ab") + TBytes.tainted(b"cd", taint))
+        drain(4)
+        a = DatagramSocket(n1, 5700)
+        b = DatagramSocket(n2, 5700)
+        a.send(DatagramPacket(TBytes.tainted(b"dgram", taint), address=(n2.ip, 5700)))
+        b.receive(DatagramPacket(64))
+        src = ByteBuffer.allocate_direct(8, n1.jni)
+        src.put(TBytes.tainted(b"nio!", taint))
+        n1.jni.disp_write0(client._endpoint, src.native, 0, 4)
+        dst = ByteBuffer.allocate_direct(8, n2.jni)
+        assert n2.jni.disp_read0(conn._endpoint, dst.native, 0, 4) == 4
+
+        assert _crossing_series(n1) == _expected_series("send", 4)
+        assert _crossing_series(n2) == _expected_series("receive", 4)
+
+    def test_concurrent_crossings_and_scrapes(self, dista_pair):
+        """Wrapper threads keep adding ``record_io`` rows while a scraper
+        folds them: with a tiny switch interval and more threads than
+        cores, every bump lands and no scrape fails."""
+        from repro.core.wrappers import DisTARuntime
+        from repro.obs.registry import MetricsRegistry, snapshot_total
+
+        cluster, n1, n2 = dista_pair
+        registry = MetricsRegistry()
+        runtime = DisTARuntime(SimpleNamespace(name="race", metrics=registry), n1.taintmap)
+        tainted = TBytes.tainted(b"abc", n1.tree.taint_for_tag("race"))
+        workers_n, calls = 8, 6000
+        done = threading.Event()
+        scrape_errors: list = []
+
+        def worker(index):
+            data = tainted if index % 2 else TBytes(b"xyz")
+            for n in range(calls):
+                # Every call opens a fresh (method, direction) row.
+                runtime.record_io("send", f"m{index}.{n}", data)
+
+        def scraper():
+            while not done.is_set():
+                try:
+                    registry.snapshot()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    scrape_errors.append(exc)
+                    return
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        watcher = threading.Thread(target=scraper, daemon=True)
+        workers = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(workers_n)
+        ]
+        try:
+            watcher.start()
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            watcher.join(timeout=60)
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in workers + [watcher])
+        assert scrape_errors == []
+        snap = registry.snapshot()
+        total = workers_n * calls
+        assert snapshot_total(snap, "dista_jni_calls_total") == total
+        assert snapshot_total(snap, "dista_jni_bytes_total") == 3 * total
+        assert snapshot_total(snap, "dista_crossings_total") == total / 2
+        assert snapshot_total(snap, "dista_fastpath_total", {"path": "slow"}) == total / 2

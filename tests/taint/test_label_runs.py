@@ -61,8 +61,12 @@ def test_union_matches_per_byte_union(labels, taint):
     assert unioned.to_list() == [union_labels(label, taint) for label in labels]
 
 
+#: Untainted bases reach the splice-into-an-empty-shadow path.
+untainted_lists = st.lists(st.none(), min_size=0, max_size=24)
+
+
 @settings(max_examples=200)
-@given(labels_lists, labels_lists, st.integers(0, 24))
+@given(st.one_of(labels_lists, untainted_lists), labels_lists, st.integers(0, 24))
 def test_splice_matches_list_splice(base, patch, at):
     start = min(at, len(base))
     stop = min(start + len(patch), len(base))
@@ -70,8 +74,13 @@ def test_splice_matches_list_splice(base, patch, at):
     expected = list(base)
     expected[start:stop] = patch
     runs = LabelRuns.from_list(base)
-    runs[start:stop] = LabelRuns.from_list(patch)
+    patch_runs = LabelRuns.from_list(patch)
+    runs[start:stop] = patch_runs
     assert runs.to_list() == expected
+    assert runs == LabelRuns.from_list(expected)
+    # Splicing over the result again must not write through to the patch.
+    runs[start:stop] = LabelRuns.filled(stop - start, _POOL[1])
+    assert patch_runs.to_list() == patch
 
 
 @settings(max_examples=100)

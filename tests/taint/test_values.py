@@ -50,6 +50,12 @@ class TestTBytes:
         with pytest.raises(ValueError):
             TBytes(b"ab", [ta])
 
+    def test_concat_of_one_part_is_that_part(self, ta):
+        x = TBytes(b"ab") + TBytes.tainted(b"cd", ta)
+        assert TBytes.concat([x]) is x
+        padded = TBytes.concat([x, TBytes.empty()])
+        assert padded == x and padded.labels == x.labels
+
     def test_concat_preserves_per_byte_labels(self, ta, tb):
         b = TBytes.tainted(b"aa", ta) + TBytes.tainted(b"bb", tb)
         assert b.data == b"aabb"
@@ -119,6 +125,32 @@ class TestTByteArray:
     def test_from_tbytes(self, ta):
         buf = TByteArray(TBytes.tainted(b"zz", ta))
         assert buf.snapshot().overall_taint() is ta
+
+    def test_untainted_overwrite_drops_the_shadow(self, ta):
+        """Overwriting every tainted byte leaves ``labels is None``, the
+        zero-taint summary later crossings dispatch on."""
+        buf = TByteArray(4)
+        buf.write(0, TBytes.tainted(b"aaaa", ta))
+        buf.write(0, TBytes(b"____"))
+        assert buf.labels is None
+        assert not buf.any_tainted()
+
+    def test_write_does_not_share_runs_with_the_source(self, ta, tb):
+        src = TBytes.tainted(b"abcd", ta)
+        buf = TByteArray(8)
+        buf.write(0, src)
+        buf.write(2, TBytes.tainted(b"xyz", tb))
+        assert src.labels == [ta] * 4
+        assert buf.read(0, 5).labels == [ta, ta, tb, tb, tb]
+
+    def test_whole_read_is_a_snapshot(self, ta, tb):
+        buf = TByteArray(4)
+        buf.write(0, TBytes.tainted(b"abcd", ta))
+        whole = buf.read(0, len(buf))
+        buf.write(1, TBytes.tainted(b"z", tb))
+        buf.write(3, TBytes(b"_"))
+        assert whole.data == b"abcd"
+        assert whole.labels == [ta] * 4
 
 
 class TestScalars:
