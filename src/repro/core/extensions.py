@@ -103,7 +103,7 @@ def _make_stream_receive(runtime: DisTARuntime):
                 if count == EOF:
                     decoder.check_clean_eof()
                     return EOF
-                decoded = decoder.feed(staging.read(0, count).data, runtime.resolver)
+                decoded = decoder.feed(staging.data[:count], runtime.resolver)
                 if decoded:
                     buf.write(offset, decoded)
                     return len(decoded)

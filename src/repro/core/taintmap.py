@@ -615,6 +615,12 @@ class TaintMapStats:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + amount)
 
+    def count_probes(self, hits: int, misses: int) -> None:
+        """Add one resolver call's cache hits and misses under one lock."""
+        with self._lock:
+            self.cache_hits += hits
+            self.cache_misses += misses
+
     def snapshot(self) -> dict:
         with self._lock:
             return {
@@ -716,6 +722,14 @@ class _LruCache:
     bounded cache trades that for bounded memory on long-lived nodes;
     evicted entries simply re-register/re-look-up on next use.
 
+    :attr:`lookup` is the read the client uses.  On the unbounded cache
+    it is the backing dict's ``get``: one probe, no lock, because a
+    single dict read is atomic under the interpreter lock and the cache
+    never evicts.  A bounded cache reorders on every read, so its
+    ``lookup`` is the locked :meth:`get`.  Neither counts hits or
+    misses; the client adds them once per resolver call
+    (:meth:`TaintMapStats.count_probes`).
+
     The bounded policy is segmented (SLRU) rather than plain LRU for
     scan resistance: a GID burst from someone else's snapshot transfer
     is a one-pass key scan that plain LRU lets flush the whole cache.
@@ -749,9 +763,11 @@ class _LruCache:
         self._capacity = capacity
         self._stats = stats
         self._lock = threading.Lock()
-        # capacity=None keeps everything in _probation, never evicting.
-        self._probation: OrderedDict = OrderedDict()
+        # capacity=None keeps everything in _probation, a plain dict that
+        # never evicts or reorders.
+        self._probation = {} if capacity is None else OrderedDict()
         self._protected: OrderedDict = OrderedDict()
+        self.lookup = self._probation.get if capacity is None else self.get
         self._sketch = (
             _FrequencySketch(capacity) if admission and capacity is not None else None
         )
@@ -776,12 +792,9 @@ class _LruCache:
                 self._sketch.record(key)
             if key in self._protected:
                 self._protected.move_to_end(key)
-                self._stats.bump("cache_hits")
                 return self._protected[key]
             if key not in self._probation:
-                self._stats.bump("cache_misses")
                 return None
-            self._stats.bump("cache_hits")
             if self._capacity is None:
                 return self._probation[key]
             value = self._probation.pop(key)
@@ -2160,9 +2173,11 @@ class TaintMapClient:
             return 0
         key = id(taint.node)
         if self._cache_enabled:
-            cached = self._gid_cache.get(key)
+            cached = self._gid_cache.lookup(key)
             if cached is not None:
+                self.stats.count_probes(1, 0)
                 return cached[0]
+            self.stats.count_probes(0, 1)
         payload = serialize_tags(taint.tags)
         for attempt in range(self.RING_RETRY_LIMIT):
             try:
@@ -2195,20 +2210,26 @@ class TaintMapClient:
         """
         gids: list[Optional[int]] = [None] * len(taints)
         misses: dict[int, tuple[Taint, list[int]]] = {}
+        lookup = self._gid_cache.lookup if self._cache_enabled else None
+        hits = missed = 0
         for i, taint in enumerate(taints):
             if taint is None or taint.is_empty:
                 gids[i] = 0
                 continue
             key = id(taint.node)
-            if self._cache_enabled:
-                cached = self._gid_cache.get(key)
+            if lookup is not None:
+                cached = lookup(key)
                 if cached is not None:
                     gids[i] = cached[0]
+                    hits += 1
                     continue
+                missed += 1
             if key in misses:
                 misses[key][1].append(i)
             else:
                 misses[key] = (taint, [i])
+        if lookup is not None:
+            self.stats.count_probes(hits, missed)
         if misses:
             for attempt in range(self.RING_RETRY_LIMIT):
                 try:
@@ -2285,9 +2306,11 @@ class TaintMapClient:
         if gid == 0:
             return None
         if self._cache_enabled:
-            cached = self._taint_cache.get(gid)
+            cached = self._taint_cache.lookup(gid)
             if cached is not None:
+                self.stats.count_probes(1, 0)
                 return cached
+            self.stats.count_probes(0, 1)
         serialized = self._request(
             OP_LOOKUP, struct.pack(">I", gid), self._shard_for_gid(gid)
         )
@@ -2300,15 +2323,21 @@ class TaintMapClient:
         issued concurrently — receivers route by the GID's shard bits)."""
         taints: list[Optional[Taint]] = [None] * len(gids)
         misses: dict[int, list[int]] = {}
+        lookup = self._taint_cache.lookup if self._cache_enabled else None
+        hits = missed = 0
         for i, gid in enumerate(gids):
             if gid == 0:
                 continue
-            if self._cache_enabled:
-                cached = self._taint_cache.get(gid)
+            if lookup is not None:
+                cached = lookup(gid)
                 if cached is not None:
                     taints[i] = cached
+                    hits += 1
                     continue
+                missed += 1
             misses.setdefault(gid, []).append(i)
+        if lookup is not None:
+            self.stats.count_probes(hits, missed)
         if misses:
             by_shard: dict[int, list[int]] = {}
             for gid in misses:

@@ -23,13 +23,24 @@ on runs, so the Python-level cost is O(runs) and the per-byte work runs
 in C, the way DisTA's JIT-compiled instrumentation amortizes it.
 Encoding is pure bytes ops: each run repeats one ``gid`` unit into a
 zeroed column and the data column lands in one strided slice
-assignment.  Decoding views the stream through a numpy structured dtype
-and finds runs at GID change points; a frame with no change point (the
-common one-taint message) resolves straight into a single run.  When
-the caller supplies the batched
-resolvers (``gids_for``/``taints_for``, see
-:class:`~repro.core.taintmap.TaintMapClient`), all of a message's
-distinct labels resolve in a single Taint Map round-trip.
+assignment; a payload that one run covers end to end is its single
+unit repeated, with no label table.  Decoding a cell stream has two
+paths, chosen by frame length (datagram envelopes take the second):
+
+* a frame of at most :data:`BYTES_PATH_MAX_CELLS` cells (about 2 KiB of
+  data, the measured crossover) is first checked for a single Global ID
+  with bytes ops only — rebuild ``(b"\\0" + gid) * cells``, stride the
+  data in, compare.  A match, GID 0 included, resolves straight into
+  one run (or none) without touching numpy.  This is the common frame:
+  one primitive or one small message with one taint.
+* any other frame, and a small one with a change point, is viewed
+  through a numpy structured dtype, and runs are found at GID change
+  points.
+
+When the caller supplies the batched resolvers (``gids_for``/
+``taints_for``, see :class:`~repro.core.taintmap.TaintMapClient`), all
+of a message's distinct labels resolve in a single Taint Map
+round-trip.
 """
 
 from __future__ import annotations
@@ -52,6 +63,14 @@ CELL_WIDTH = 1 + GID_WIDTH
 PACKET_MAGIC = b"\xd7\x5a"
 PACKET_VERSION = 1
 PACKET_HEADER = len(PACKET_MAGIC) + 1 + 4
+
+#: Frames of at most this many cells are first checked for a single
+#: Global ID with bytes ops (:func:`_decode_one_run`) before numpy is
+#: touched.  The crossover is measured (EXPERIMENTS.md): the bytes check
+#: skips numpy's fixed cost of a few µs, but its strided copies cost
+#: more per byte, so past about 2 KiB of data a one-run frame decodes
+#: faster through numpy (untainted frames break even near 6 KiB).
+BYTES_PATH_MAX_CELLS = 2048
 
 #: ``gid_for(label)`` maps a Taint (or None) to its Global ID.
 GidFor = Callable[[Optional[object]], int]
@@ -119,6 +138,7 @@ _GID_BE = np.dtype(">u4")
 #: reshape/copy/view dance.
 _CELL_DTYPE = np.dtype([("data", np.uint8), ("gid", _GID_BE)])
 assert _CELL_DTYPE.itemsize == CELL_WIDTH
+_GID_ZERO = bytes(GID_WIDTH)
 
 
 def _gid_column(data: TBytes, gid_for, gids_for, slot: bytes) -> bytearray:
@@ -132,9 +152,17 @@ def _gid_column(data: TBytes, gid_for, gids_for, slot: bytes) -> bytearray:
     has no runs, so it costs one zeroed allocation and no resolver call.
     """
     width = len(slot) + GID_WIDTH
-    column = bytearray(width * len(data))
     labels = data.labels
-    runs = labels.runs if labels is not None else ()
+    if labels is None:
+        return bytearray(width * len(data))
+    only = labels.only_run()
+    if only is not None and only[0] == 0 and only[1] == len(data):
+        # One run over the whole payload: one resolver call, one
+        # repeated unit, no label table.
+        (gid,) = _gids([only[2]], gid_for, gids_for)
+        return bytearray(slot + gid.to_bytes(GID_WIDTH, "big")) * len(data)
+    column = bytearray(width * len(data))
+    runs = labels.runs
     if runs:
         unique = labels.unique_labels()
         units = {
@@ -177,6 +205,50 @@ def _label_runs(gids: np.ndarray, taint_for, taints_for) -> Optional[LabelRuns]:
     )
 
 
+def _decode_one_run(
+    stream: Union[bytes, bytearray], cells: int, taint_for, taints_for
+) -> Optional[TBytes]:
+    """The first ``cells`` cells as one run, with bytes ops only.
+
+    Rebuilds the frame a single GID would give — the first cell's GID
+    repeated, the data bytes strided in — and compares it with the
+    stream.  Returns ``None`` when some GID differs, leaving the frame
+    to :func:`_decode_runs`; a frame whose last GID differs from its
+    first is turned away before anything is built.
+    """
+    gid = stream[1:CELL_WIDTH]
+    end = cells * CELL_WIDTH
+    if stream[end - GID_WIDTH : end] != gid:
+        return None
+    data = stream[0:end:CELL_WIDTH]
+    frame = bytearray(b"\0" + gid) * cells
+    frame[0::CELL_WIDTH] = data
+    if not stream.startswith(frame):
+        return None
+    value = TBytes.raw(data)
+    if gid != _GID_ZERO:
+        (taint,) = _taints([int.from_bytes(gid, "big")], taint_for, taints_for)
+        if taint is not None:
+            value.labels = LabelRuns.filled(len(value.data), taint)
+    return value
+
+
+def _decode_runs(
+    stream: Union[bytes, bytearray], cells: int, taint_for, taints_for
+) -> TBytes:
+    """The first ``cells`` cells, runs found at GID change points."""
+    body = np.frombuffer(stream, dtype=_CELL_DTYPE, count=cells)
+    data = body["data"].tobytes()
+    # All-zero GID columns mean an untainted payload: _label_runs
+    # returns None and no taint resolution happens (the decode-side
+    # zero-taint fast path).  The numpy view is released on return, so
+    # a buffered stream can shrink afterwards.
+    labels = _label_runs(body["gid"], taint_for, taints_for)
+    if labels is None:
+        return TBytes.raw(data)
+    return TBytes(data, labels)
+
+
 def encode_cells(
     data: TBytes, gid_for: Union[GidFor, LabelResolver], gids_for: Optional[GidsFor] = None
 ) -> bytes:
@@ -206,7 +278,7 @@ class CellDecoder:
 
     def feed(
         self,
-        wire: bytes,
+        wire: Union[bytes, bytearray],
         taint_for: Union[TaintFor, LabelResolver],
         taints_for: Optional[TaintsFor] = None,
     ) -> TBytes:
@@ -224,23 +296,17 @@ class CellDecoder:
             if not buffered:
                 self._buffer += wire
             return TBytes.empty()
-        body = np.frombuffer(stream, dtype=_CELL_DTYPE, count=cells)
-        data = body["data"].tobytes()
-        # All-zero GID columns mean an untainted payload: _label_runs
-        # returns None and no taint resolution happens (the decode-side
-        # zero-taint fast path).
-        labels = _label_runs(body["gid"], taint_for, taints_for)
+        decoded = None
+        if cells <= BYTES_PATH_MAX_CELLS:
+            decoded = _decode_one_run(stream, cells, taint_for, taints_for)
+        if decoded is None:
+            decoded = _decode_runs(stream, cells, taint_for, taints_for)
         consumed = cells * CELL_WIDTH
-        # Release the numpy view before resizing: a bytearray refuses to
-        # shrink while a buffer export is live.
-        del body
         if buffered:
             del self._buffer[:consumed]
         elif consumed < len(wire):
             self._buffer += wire[consumed:]
-        if labels is None:
-            return TBytes.raw(data)
-        return TBytes(data, labels)
+        return decoded
 
     @property
     def residue_len(self) -> int:
@@ -292,6 +358,10 @@ def decode_packet(
     """
     if not is_enveloped(raw):
         raise WireFormatError("datagram payload lacks the DisTA envelope magic")
+    if len(raw) < PACKET_HEADER:
+        raise WireFormatError(
+            f"envelope header truncated: {len(raw)} of {PACKET_HEADER} bytes"
+        )
     version = raw[len(PACKET_MAGIC)]
     if version != PACKET_VERSION:
         raise WireFormatError(f"unsupported envelope version {version}")

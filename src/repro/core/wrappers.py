@@ -374,9 +374,9 @@ def make_socket_read0(runtime: DisTARuntime):
                 if count == EOF:
                     decoder.check_clean_eof()
                     return EOF
-                decoded = decoder.feed(
-                    staging.read(0, count).data, runtime.resolver
-                )
+                # The staging buffer carries no shadow: hand its bytes
+                # straight to the decoder.
+                decoded = decoder.feed(staging.data[:count], runtime.resolver)
                 if decoded:
                     runtime.record_io(
                         "receive", "socketRead0", decoded, channel=fd.receive_channel

@@ -120,8 +120,18 @@ class LabelRuns:
 
     @classmethod
     def filled(cls, length: int, label: Label) -> "LabelRuns":
-        """Every byte carries ``label`` (the common source-point case)."""
-        return cls(length, ((0, length, label),) if label is not None else ())
+        """Every byte carries ``label`` (the common source-point case).
+
+        Builds the run lists directly: one run needs no normalizing."""
+        if length < 0:
+            raise ValueError(f"negative shadow length {length}")
+        out = cls.__new__(cls)
+        out.length = length
+        if label is not None and length:
+            out._starts, out._ends, out._labels = [0], [length], [label]
+        else:
+            out._starts, out._ends, out._labels = [], [], []
+        return out
 
     @classmethod
     def from_list(cls, labels: Sequence[Label]) -> "LabelRuns":
@@ -169,6 +179,13 @@ class LabelRuns:
         if pos < self.length:
             yield pos, self.length, None
 
+    def only_run(self) -> Optional[Run]:
+        """The one run as ``(start, end, taint)``, or ``None`` unless
+        there is exactly one — O(1), where :attr:`runs` builds a list."""
+        if len(self._starts) != 1:
+            return None
+        return self._starts[0], self._ends[0], self._labels[0]
+
     def has_labels(self) -> bool:
         """Whether any byte carries a (possibly empty) taint handle."""
         return bool(self._starts)
@@ -188,11 +205,13 @@ class LabelRuns:
 
     def tainted_byte_count(self) -> int:
         """Bytes carrying a non-empty taint — O(runs), not O(bytes)."""
-        return sum(
-            end - start
-            for start, end, label in zip(self._starts, self._ends, self._labels)
-            if label is not None and not getattr(label, "is_empty", False)
-        )
+        # A plain loop, not sum() over a generator: this runs on every
+        # tainted crossing, nearly always over one run.
+        total = 0
+        for start, end, label in zip(self._starts, self._ends, self._labels):
+            if label is not None and not getattr(label, "is_empty", False):
+                total += end - start
+        return total
 
     def unique_labels(self) -> list:
         """Distinct run labels in first-appearance order (identity dedup)."""

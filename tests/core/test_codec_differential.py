@@ -18,9 +18,16 @@ from repro.taint import LocalId, TaintTree
 from repro.taint.values import LabelRuns, TBytes
 from tests.core.test_fastpath import reference_cells, reference_packet
 
-LENGTHS = (0, 1, 2, 5, 4096)
+#: Small frames take the bytes-only one-run check, larger ones numpy;
+#: the crossover and the cell after it are both drawn.
+CROSSOVER = wire.BYTES_PATH_MAX_CELLS
+LENGTHS = (0, 1, 2, 5, CROSSOVER, CROSSOVER + 1, 4096)
 BIG = 64 * 1024 + 1
 MAX_RUNS = 8
+#: "one-run" is one nonzero GID over the whole frame, "one-run-zero" one
+#: label that resolves to GID 0, and "near" a one-run frame (GID 0 or
+#: not) whose first, middle or last cell differs in a single GID byte.
+SHAPES = ("runs", "aba", "one-run", "one-run-zero", "near")
 
 _TREE = TaintTree(LocalId("10.0.0.9", 9))
 _POOL = [_TREE.taint_for_tag(f"t{i}") for i in range(6)]
@@ -68,7 +75,19 @@ def build(seed: int, length: int, shape: str):
     for label in labels[2 if aba else 0 :]:
         if rng.random() < 0.15:
             gids[label] = 0
-    if aba:
+    if shape in ("one-run", "one-run-zero", "near"):
+        a, b = rng.sample(_POOL, 2)
+        choices = {"one-run": _GID_CHOICES, "one-run-zero": (0,)}
+        gids = {a: rng.choice(choices.get(shape, _GID_CHOICES + (0,))), b: 0}
+        runs = [(0, length, a)]
+        if shape == "near" and length:
+            # The odd cell's GID flips bits of one byte (to 0 if the
+            # run's GID had only that byte set).
+            byte = rng.randrange(wire.GID_WIDTH)
+            gids[b] = gids[a] ^ (rng.randrange(1, 256) << (8 * byte))
+            at = rng.choice((0, length // 2, length - 1))
+            runs = [(0, at, a), (at, at + 1, b), (at + 1, length, a)]
+    elif aba:
         # First and last GIDs match, the middle differs: a one-run
         # shortcut that checks only the ends would merge the three.
         a, b = sorted(rng.sample(range(1, length), 2))
@@ -107,12 +126,17 @@ def assert_same(out: TBytes, want: TBytes, context: str) -> None:
 @given(
     seed=st.integers(0, 2**32 - 1),
     length=st.sampled_from(LENGTHS),
-    shape=st.sampled_from(("runs", "aba")),
+    shape=st.sampled_from(SHAPES),
 )
 # 64 KiB + 1: five runs over three labels, two of which resolve to
 # GID 0; and an A-B-A frame whose GIDs carry shard high bits.
 @example(seed=10, length=BIG, shape="runs")
 @example(seed=19, length=BIG, shape="aba")
+# The bytes path's edge: a last-cell flip at the crossover, and one-run
+# frames just past it.
+@example(seed=3, length=CROSSOVER, shape="near")
+@example(seed=4, length=CROSSOVER + 1, shape="one-run")
+@example(seed=5, length=CROSSOVER + 1, shape="one-run-zero")
 def test_codec_matches_reference(seed, length, shape):
     value, resolver, per_byte, splits = build(seed, length, shape)
     context = f"seed={seed} length={length} shape={shape}"

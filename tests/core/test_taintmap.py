@@ -1,11 +1,14 @@
 """Tests for the Taint Map service, protocol, and caching (Fig. 9)."""
 
+import random
+import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.taintmap import (
     TaintMapClient,
     TaintMapServer,
@@ -186,6 +189,90 @@ class TestTaintMapService:
             t.join(10)
         assert gids[0] == gids[1]
         assert server.global_taint_count() == 16
+
+
+class TestLockFreeCacheHits:
+    """The unbounded caches answer hits with no lock; the hit and miss
+    counters are added once per call and must stay exact."""
+
+    @pytest.mark.parametrize("client_type", [TaintMapClient, AsyncTaintMapClient])
+    def test_concurrent_hits_and_first_misses_stay_consistent(
+        self, service, client_type
+    ):
+        server, n1, n2, _, c2 = service
+        client = client_type(n1, server.address)
+        warm = [n1.tree.taint_for_tag(f"warm{i}") for i in range(16)]
+        warm_gids = client.gids_for(warm)
+        # GIDs this client has never seen: its taint cache misses on them.
+        remote = [n2.tree.taint_for_tag(f"remote{i}") for i in range(32)]
+        remote_gids = c2.gids_for(remote)
+        expected_tags = {
+            gid: frozenset(t.tag for t in taint.tags)
+            for gid, taint in zip(warm_gids + remote_gids, warm + remote)
+        }
+        # Fresh taints: some shared by every thread, some per thread, so
+        # first-time misses race on the same keys and on distinct ones.
+        shared = [n1.tree.taint_for_tag(f"shared{i}") for i in range(8)]
+        threads_n, rounds = 8, 150
+        own = [
+            [n1.tree.taint_for_tag(f"own{w}.{i}") for i in range(8)]
+            for w in range(threads_n)
+        ]
+        seen_gids: dict = {}
+        probed = [0] * threads_n
+        errors: list = []
+        before = client.stats.snapshot()
+
+        def worker(index):
+            rng = random.Random(index)
+            try:
+                for _ in range(rounds):
+                    taints = rng.sample(warm, 3) + [
+                        rng.choice(shared),
+                        rng.choice(own[index]),
+                        None,
+                    ]
+                    gids = client.gids_for(taints)
+                    probed[index] += 5
+                    assert gids[:3] == [warm_gids[warm.index(t)] for t in taints[:3]]
+                    assert gids[5] == 0
+                    for taint, gid in zip(taints[3:5], gids[3:5]):
+                        assert seen_gids.setdefault(id(taint.node), gid) == gid
+                    asked = rng.sample(warm_gids, 2) + rng.sample(remote_gids, 2) + [0]
+                    resolved = client.taints_for(asked)
+                    probed[index] += 4
+                    assert resolved[4] is None
+                    for gid, taint in zip(asked, resolved[:4]):
+                        assert frozenset(t.tag for t in taint.tags) == expected_tags[gid]
+                        assert client.gid_for(taint) == gid
+                        probed[index] += 1
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        workers = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(threads_n)
+        ]
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in workers)
+        assert errors == []
+        after = client.stats.snapshot()
+        hits = after["cache_hits"] - before["cache_hits"]
+        misses = after["cache_misses"] - before["cache_misses"]
+        assert hits + misses == sum(probed)
+        # Every fresh key and remote GID missed at least once (the seeded
+        # draws probe them all), and none more than once per thread.
+        fresh = len(shared) + sum(len(keys) for keys in own) + len(remote_gids)
+        assert fresh <= misses <= fresh * threads_n
+        client.close()
 
 
 class TestForeignTaintRegistration:

@@ -121,6 +121,17 @@ class TestPacketEnvelope:
         with pytest.raises(WireFormatError, match="truncated"):
             wire.decode_packet(envelope[:-3], taint_for)
 
+    @pytest.mark.parametrize(
+        "length", range(len(wire.PACKET_MAGIC), wire.PACKET_HEADER)
+    )
+    def test_truncated_header_raises(self, tree, length):
+        """A datagram that opens with the magic but is shorter than the
+        header is a malformed envelope, not an IndexError or struct.error."""
+        _, gid_for, taint_for = make_gid_table(tree, [])
+        envelope = wire.encode_packet(TBytes(b"abcdef"), gid_for)
+        with pytest.raises(WireFormatError, match="truncated"):
+            wire.decode_packet(envelope[:length], taint_for)
+
     def test_bad_version_raises(self, tree):
         _, gid_for, taint_for = make_gid_table(tree, [])
         envelope = bytearray(wire.encode_packet(TBytes(b"a"), gid_for))
