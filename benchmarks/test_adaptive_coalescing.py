@@ -32,8 +32,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.core.aio_transport import AsyncTaintMapClient
-from repro.core.taintmap import ShardedTaintMapService
+from repro.core.taintmap import ShardedTaintMapService, TaintMapClient
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
 from repro.runtime.kernel import SimKernel
@@ -64,8 +63,8 @@ def _client(node, addresses, window_us):
     """``window_us=None`` selects the timer-free default; a number pins
     a static window."""
     if window_us is None:
-        return AsyncTaintMapClient(node, addresses)
-    return AsyncTaintMapClient(node, addresses, coalesce_window_us=window_us)
+        return TaintMapClient(node, addresses)
+    return TaintMapClient(node, addresses, coalesce_window_us=window_us)
 
 
 def _fixture(namespace, service_time):

@@ -1,12 +1,12 @@
-"""Async multiplexed transport vs pooled client on a many-small-message
-SIM workload (ISSUE 3 tentpole).
+"""Cross-message coalescing vs one request per registration on a
+many-small-message SIM workload.
 
 The workload: many sender threads, each resolving one fresh taint per
 "message" — the pattern of a SIM cluster exchanging lots of small
-messages, where every send pays a Taint Map round-trip.  The pooled
-client spends one connection round-trip per registration; the async
-client multiplexes one connection per shard and coalesces concurrent
-registrations into per-window batches, so k in-flight messages cost one
+messages, where every send pays a Taint Map round-trip.  The reference
+is the same client pinned to ``coalesce_window_us=0``: one round-trip
+per registration.  With a coalescing window the client batches
+concurrent registrations per window, so k in-flight messages cost one
 round-trip per window.
 
 ``service_time`` models each registration round-trip's server-side cost
@@ -15,8 +15,8 @@ CI scheduling noise, counted via ``TaintMapStats``); throughput is
 reported alongside.
 
 Results land in ``BENCH_PR3.json`` at the repository root, asserting the
-async+coalescing transport needs at most half the round-trips of the
-PR 2 pooled client on the same workload.
+coalescing window needs at most half the round-trips of the per-request
+reference on the same workload.
 """
 
 import json
@@ -24,7 +24,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.taintmap import ShardedTaintMapService, TaintMapClient
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT
 from repro.runtime.fs import SimFileSystem
@@ -45,7 +44,11 @@ REPEATS = 3
 _RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR3.json"
 
 
-def _measure_round(transport: str, namespace: str) -> tuple[float, int]:
+#: Measured configurations: the per-request reference and the window.
+WINDOWS = {"per_request": 0.0, "coalesced": WINDOW_US}
+
+
+def _measure_round(window_us: float, namespace: str) -> tuple[float, int]:
     """One timed round; returns (messages/s, client round-trips)."""
     kernel = SimKernel(f"aio-bench-{namespace}")
     kernel.register_node(TAINT_MAP_IP)
@@ -54,12 +57,7 @@ def _measure_round(transport: str, namespace: str) -> tuple[float, int]:
         kernel, TAINT_MAP_IP, TAINT_MAP_PORT, 1, service_time=SERVICE_TIME
     ).start()
     node = SimNode("n", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
-    if transport == "async":
-        client = AsyncTaintMapClient(
-            node, service.addresses, coalesce_window_us=WINDOW_US
-        )
-    else:
-        client = TaintMapClient(node, service.addresses)
+    client = TaintMapClient(node, service.addresses, coalesce_window_us=window_us)
     try:
         taints = [
             [
@@ -97,19 +95,17 @@ def _measure_round(transport: str, namespace: str) -> tuple[float, int]:
 
 def test_async_coalescing_halves_roundtrips():
     best = {}
-    for transport in ("pooled", "async"):
+    for name, window_us in WINDOWS.items():
         best_throughput, fewest_roundtrips = 0.0, None
         for repeat in range(REPEATS):
-            throughput, roundtrips = _measure_round(
-                transport, f"{transport}-r{repeat}"
-            )
+            throughput, roundtrips = _measure_round(window_us, f"{name}-r{repeat}")
             best_throughput = max(best_throughput, throughput)
             fewest_roundtrips = (
                 roundtrips
                 if fewest_roundtrips is None
                 else min(fewest_roundtrips, roundtrips)
             )
-        best[transport] = (best_throughput, fewest_roundtrips)
+        best[name] = (best_throughput, fewest_roundtrips)
 
     total = SENDER_THREADS * MESSAGES_PER_THREAD
     report = {
@@ -121,20 +117,21 @@ def test_async_coalescing_halves_roundtrips():
         ),
         "repeats": REPEATS,
         "results": {
-            transport: {
+            name: {
+                "coalesce_window_us": WINDOWS[name],
                 "messages_per_s": throughput,
                 "taint_map_roundtrips": roundtrips,
                 "messages_per_roundtrip": total / roundtrips,
             }
-            for transport, (throughput, roundtrips) in best.items()
+            for name, (throughput, roundtrips) in best.items()
         },
-        "roundtrip_reduction": best["pooled"][1] / best["async"][1],
-        "throughput_speedup": best["async"][0] / best["pooled"][0],
+        "roundtrip_reduction": best["per_request"][1] / best["coalesced"][1],
+        "throughput_speedup": best["coalesced"][0] / best["per_request"][0],
     }
     _RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     reduction = report["roundtrip_reduction"]
     assert reduction >= 2.0, (
-        f"async+coalescing only cut round-trips {reduction:.2f}x "
-        f"({best['pooled'][1]} pooled vs {best['async'][1]} async)"
+        f"coalescing only cut round-trips {reduction:.2f}x "
+        f"({best['per_request'][1]} per-request vs {best['coalesced'][1]} coalesced)"
     )

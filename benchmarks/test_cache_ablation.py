@@ -13,28 +13,11 @@ labels, 3 passes.  An unbounded (or working-set-sized) cache pays the
 registration traffic once; a 1k cache thrashes; no cache pays it every
 pass.  Results land in ``BENCH_PR3_CACHE.json`` at the repository root.
 
-PR 7 made the bounded policy **segmented** (SLRU): new entries sit on
-probation and only a re-reference promotes them into the protected
-segment.  The second measurement here is the scan-resistance point that
-policy buys: a warmed hot set must survive a one-pass cold scan of
-twice the cache capacity (plain LRU would evict it wholesale).
-
-PR 8 added **TinyLFU admission** (``cache_admission=True``): a 4-bit
-count-min sketch gates probation inserts, so one-hit wonders stop
-displacing proven-hot entries.  The third measurement is the skewed
-point that gate targets — a Zipfian hot head behind a long tail of
-once-used keys (the adversarial shape for recency caches: most
-references hit the head, but most *distinct* keys are tail).  Plain
-SLRU inserts every tail key into probation and immediately evicts
-another entry to make room — insert/evict churn on the lock-held fast
-path of every send.  The sketch rejects tail keys at the door (their
-frequency never beats the resident victim's), collapsing eviction
-churn several-fold while holding registration traffic at parity on the
-identical trace.
+A bounded cache is one plain LRU: past ``cache_capacity`` entries the
+least recently used one is evicted and re-registers on next use.
 """
 
 import json
-import random
 from pathlib import Path
 
 from repro.core.taintmap import ShardedTaintMapService, TaintMapClient
@@ -88,128 +71,8 @@ def _measure(label: str, capacity) -> dict:
         service.stop()
 
 
-#: Scan-resistance point: hot set (fits protected segment), cold scan.
-SCAN_CAPACITY = 1024
-SCAN_HOT = 512
-SCAN_COLD = 2 * SCAN_CAPACITY
-
-
-def _measure_scan_resistance() -> dict:
-    """Warm a hot set into the protected segment, blast a cold one-pass
-    scan past it, then re-touch the hot set and count re-registrations."""
-    kernel = SimKernel("cache-bench-scan")
-    kernel.register_node(TAINT_MAP_IP)
-    fs = SimFileSystem()
-    service = ShardedTaintMapService(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, 1).start()
-    node = SimNode("n", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
-    client = TaintMapClient(node, service.addresses, cache_capacity=SCAN_CAPACITY)
-    try:
-        hot = [node.tree.taint_for_tag(f"hot-{i}") for i in range(SCAN_HOT)]
-        cold = [node.tree.taint_for_tag(f"cold-{i}") for i in range(SCAN_COLD)]
-        # Two warm passes: the second one's hits promote the hot set
-        # out of probation into the protected segment.
-        for _ in range(2):
-            for start in range(0, SCAN_HOT, BATCH):
-                client.gids_for(hot[start : start + BATCH])
-        # One-pass cold scan of 2x capacity: on plain LRU this evicts
-        # everything; on SLRU it only churns the probation segment.
-        for start in range(0, SCAN_COLD, BATCH):
-            client.gids_for(cold[start : start + BATCH])
-        server = service.servers[0]
-        registered_before_retouch = server.stats.register_entries
-        for start in range(0, SCAN_HOT, BATCH):
-            client.gids_for(hot[start : start + BATCH])
-        survived = SCAN_HOT - (
-            server.stats.register_entries - registered_before_retouch
-        )
-        return {
-            "capacity": SCAN_CAPACITY,
-            "hot_set": SCAN_HOT,
-            "cold_scan": SCAN_COLD,
-            "hot_survived_scan": survived,
-            "hot_survival_rate": survived / SCAN_HOT,
-            "cache_evictions": client.stats.snapshot()["cache_evictions"],
-        }
-    finally:
-        client.close()
-        service.stop()
-
-
-#: Zipfian admission point: a hot head that fits the cache, behind a
-#: long tail of once-used keys streaming through probation.
-ZIPF_CAPACITY = 512
-ZIPF_HOT_KEYS = 400
-ZIPF_REQUESTS = 16384
-ZIPF_EXPONENT = 1.1
-#: Fraction of references that are one-hit wonders (fresh tail keys).
-ZIPF_TAIL_FRACTION = 0.875
-ZIPF_SEED = 0x5EED
-
-
-def _zipf_trace():
-    """Deterministic key-index trace shared by both cache variants: a
-    Zipf(s) head of ``ZIPF_HOT_KEYS`` keys, diluted by fresh never-
-    repeated tail keys on ``ZIPF_TAIL_FRACTION`` of references."""
-    weights = [1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in range(ZIPF_HOT_KEYS)]
-    rng = random.Random(ZIPF_SEED)
-    trace = []
-    next_tail_key = ZIPF_HOT_KEYS
-    for _ in range(ZIPF_REQUESTS):
-        if rng.random() < ZIPF_TAIL_FRACTION:
-            trace.append(next_tail_key)
-            next_tail_key += 1
-        else:
-            trace.append(rng.choices(range(ZIPF_HOT_KEYS), weights=weights)[0])
-    return trace, next_tail_key
-
-
-def _measure_zipfian(trace, key_count, admission: bool) -> dict:
-    """Replay the same Zipfian trace with and without TinyLFU admission."""
-    label = "tinylfu" if admission else "slru"
-    kernel = SimKernel(f"cache-bench-zipf-{label}")
-    kernel.register_node(TAINT_MAP_IP)
-    fs = SimFileSystem()
-    service = ShardedTaintMapService(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, 1).start()
-    node = SimNode("n", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
-    client = TaintMapClient(
-        node,
-        service.addresses,
-        cache_capacity=ZIPF_CAPACITY,
-        cache_admission=admission,
-    )
-    try:
-        taints = [node.tree.taint_for_tag(f"zipf-{i}") for i in range(key_count)]
-        for start in range(0, ZIPF_REQUESTS, BATCH):
-            client.gids_for([taints[i] for i in trace[start : start + BATCH]])
-        server = service.servers[0]
-        snapshot = client.stats.snapshot()
-        distinct = len(set(trace))
-        return {
-            "register_entries": server.stats.register_entries,
-            "reregistration_entries": server.stats.register_entries - distinct,
-            "cache_hits": snapshot["cache_hits"],
-            "cache_misses": snapshot["cache_misses"],
-            "cache_evictions": snapshot["cache_evictions"],
-            "admission_rejections": snapshot["cache_admission_rejections"],
-        }
-    finally:
-        client.close()
-        service.stop()
-
-
 def test_cache_capacity_vs_reregistration_traffic():
     results = {label: _measure(label, cap) for label, cap in CAPACITIES.items()}
-    scan = _measure_scan_resistance()
-    trace, key_count = _zipf_trace()
-    zipf = {
-        "workload": (
-            f"Zipf(s={ZIPF_EXPONENT}) head of {ZIPF_HOT_KEYS} labels, "
-            f"{ZIPF_TAIL_FRACTION:.0%} one-hit-wonder tail, "
-            f"{ZIPF_REQUESTS} references, capacity {ZIPF_CAPACITY}"
-        ),
-        "slru": _measure_zipfian(trace, key_count, admission=False),
-        "tinylfu": _measure_zipfian(trace, key_count, admission=True),
-    }
 
     report = {
         "bench": "cache_ablation",
@@ -219,14 +82,8 @@ def test_cache_capacity_vs_reregistration_traffic():
         ),
         "capacities": {k: ("off" if v == 0 else v) for k, v in CAPACITIES.items()},
         "results": results,
-        "scan_resistance": scan,
-        "zipfian_admission": zipf,
     }
     _RESULTS_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-    # Segmented LRU: the protected hot set survives a one-pass cold
-    # scan of 2x capacity (plain LRU would re-register all of it).
-    assert scan["hot_survival_rate"] >= 0.9, scan
 
     # No cache: every pass re-registers the full working set.
     assert results["disabled"]["register_entries"] == PASSES * WORKING_SET
@@ -243,18 +100,3 @@ def test_cache_capacity_vs_reregistration_traffic():
     )
     assert results["1k"]["cache_evictions"] > 0
 
-    # TinyLFU admission on the identical Zipfian-head trace: the gate
-    # must actually fire (ungated SLRU never rejects), collapse the
-    # insert/evict churn several-fold (tail keys bounced at the door
-    # instead of cycling through probation), and hold registration
-    # traffic to the server at parity — the rejected keys were
-    # one-hit wonders that would have missed next time anyway.
-    assert zipf["tinylfu"]["admission_rejections"] > 0, zipf
-    assert zipf["slru"]["admission_rejections"] == 0
-    assert (
-        zipf["tinylfu"]["cache_evictions"] < zipf["slru"]["cache_evictions"] / 3
-    ), zipf
-    # Parity is asserted on total misses (dominated by the tail's
-    # compulsory misses) rather than raw re-registrations: sketch
-    # collisions move with hash randomization run to run.
-    assert zipf["tinylfu"]["cache_misses"] <= 1.05 * zipf["slru"]["cache_misses"], zipf

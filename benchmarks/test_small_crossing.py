@@ -97,8 +97,8 @@ class _ReferenceClient:
 
     def __init__(self, client: TaintMapClient):
         self.stats = TaintMapStats()
-        self._gid_cache = _ReferenceCache(client._gid_cache._probation, self.stats)
-        self._taint_cache = _ReferenceCache(client._taint_cache._probation, self.stats)
+        self._gid_cache = _ReferenceCache(client._gid_cache._entries, self.stats)
+        self._taint_cache = _ReferenceCache(client._taint_cache._entries, self.stats)
         self._cache_enabled = True
 
     def gids_for(self, taints) -> list:

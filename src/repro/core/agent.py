@@ -22,24 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import wrappers
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.taintmap import TaintMapClient
 from repro.errors import InstrumentationError
-
-#: Recognized Taint Map transports: ``async`` (one multiplexed
-#: connection per shard + timer-free cross-message coalescing,
-#: :mod:`repro.core.aio_transport` — the default) and ``pooled``
-#: (per-shard connection pools, thread-per-request — the classic
-#: opt-out via ``DISTA_TAINTMAP_TRANSPORT=pooled``).
-TRANSPORTS = ("pooled", "async")
-
-#: The transport used when neither an explicit argument nor the
-#: environment picks one.
-DEFAULT_TRANSPORT = "async"
-
-#: Environment override for the transport; lets CI run the whole suite
-#: on either transport without touching any test code.
-TRANSPORT_ENV = "DISTA_TAINTMAP_TRANSPORT"
 
 #: Environment override for the coalescing window (microseconds).
 #: Pinning a window replaces the timer-free default with a static
@@ -60,16 +44,11 @@ OVERHEAD_BUDGET_ENV = "DISTA_OVERHEAD_BUDGET"
 _UNLIMITED_BUDGET = ("unlimited", "off", "none", "")
 
 
-def resolve_transport(transport: Optional[str] = None) -> str:
-    """The effective transport: explicit argument, else the
-    ``DISTA_TAINTMAP_TRANSPORT`` environment variable, else
-    :data:`DEFAULT_TRANSPORT` (async)."""
-    choice = transport or os.environ.get(TRANSPORT_ENV) or DEFAULT_TRANSPORT
-    if choice not in TRANSPORTS:
-        raise InstrumentationError(
-            f"unknown taint map transport {choice!r}; expected one of {TRANSPORTS}"
-        )
-    return choice
+def resolve_transport() -> str:
+    """Name of the Taint Map transport: always ``async``, the one
+    multiplexed, coalescing request path (:mod:`repro.core.aio_transport`).
+    Benchmark reports record it in their environment block."""
+    return "async"
 
 
 def resolve_coalesce_window(window_us: Optional[float] = None) -> Optional[float]:
@@ -220,7 +199,6 @@ class DisTAAgent:
         extensions: tuple = (),
         wrapper_types: frozenset = frozenset({1, 2, 3}),
         trace=None,
-        transport: Optional[str] = None,
         coalesce_window_us: Optional[float] = None,
         request_deadline_s: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -228,7 +206,6 @@ class DisTAAgent:
         overhead_budget=None,
         sample_every: Optional[int] = None,
         budget_warm_start=None,
-        cache_admission: Optional[bool] = None,
         lineage=None,
     ):
         #: One ``(ip, port)`` or a sequence of per-shard addresses —
@@ -249,19 +226,16 @@ class DisTAAgent:
         #: Optional :class:`~repro.core.trace.CrossingTrace` shared by
         #: every node this agent attaches to.
         self.trace = trace
-        #: Taint Map transport: "async" (default) or "pooled"; ``None``
-        #: defers to ``DISTA_TAINTMAP_TRANSPORT`` at attach time.
-        self.transport = transport
-        #: Coalescing window (µs) for the async transport; ``None``
+        #: Coalescing window (µs) for the Taint Map transport; ``None``
         #: defers to ``DISTA_COALESCE_WINDOW_US``/the transport default
         #: (timer-free).  Pinning a window selects a static timer.
         self.coalesce_window_us = coalesce_window_us
-        #: Per-request deadline (s) for the async transport; ``None``
+        #: Per-request deadline (s) for the Taint Map transport; ``None``
         #: defers to ``DISTA_TAINTMAP_DEADLINE_S``/the transport
         #: default; ``0`` disables the deadline.
         self.request_deadline_s = request_deadline_s
-        #: Per-shard pending-window high-water mark for the async
-        #: transport's backpressure.
+        #: Per-shard pending-window high-water mark for the transport's
+        #: backpressure.
         self.max_pending = max_pending
         #: Backpressure policy past the mark: "block" or "shed".
         self.backpressure = backpressure
@@ -282,59 +256,38 @@ class DisTAAgent:
         #: point instead of re-paying the shed transient.  Ignored when
         #: no budget resolves (there is no controller to warm).
         self.budget_warm_start = budget_warm_start
-        #: TinyLFU admission for the client's GID/taint caches; ``None``
-        #: keeps the plain-LRU default.
-        self.cache_admission = cache_admission
         #: Optional :class:`~repro.obs.lineage.LineageStore` shared by
         #: every node this agent attaches to; each attach builds a
         #: node-stamped :class:`~repro.obs.lineage.LineageRecorder`
         #: feeding it.  ``None`` leaves lineage off (NULL_LINEAGE).
         self.lineage = lineage
 
-    def _make_client(self, node) -> tuple[TaintMapClient, str]:
-        transport = resolve_transport(self.transport)
-        if transport == "async":
-            options = {}
-            window = resolve_coalesce_window(self.coalesce_window_us)
-            if window is not None:
-                options["coalesce_window_us"] = window
-            deadline = resolve_request_deadline(self.request_deadline_s)
-            if deadline is not None:
-                options["request_deadline_s"] = deadline
-            if self.max_pending is not None:
-                options["max_pending"] = self.max_pending
-            if self.backpressure is not None:
-                options["backpressure"] = self.backpressure
-            if self.cache_admission is not None:
-                options["cache_admission"] = bool(self.cache_admission)
-            client = AsyncTaintMapClient(
-                node,
-                self.taint_map_address,
-                self.cache_enabled,
-                self.cache_capacity,
-                **options,
-            )
-        else:
-            options = {}
-            if self.cache_admission is not None:
-                options["cache_admission"] = bool(self.cache_admission)
-            client = TaintMapClient(
-                node,
-                self.taint_map_address,
-                self.cache_enabled,
-                self.cache_capacity,
-                **options,
-            )
-        return client, transport
+    def _make_client(self, node) -> TaintMapClient:
+        options = {}
+        window = resolve_coalesce_window(self.coalesce_window_us)
+        if window is not None:
+            options["coalesce_window_us"] = window
+        deadline = resolve_request_deadline(self.request_deadline_s)
+        if deadline is not None:
+            options["request_deadline_s"] = deadline
+        if self.max_pending is not None:
+            options["max_pending"] = self.max_pending
+        if self.backpressure is not None:
+            options["backpressure"] = self.backpressure
+        return TaintMapClient(
+            node,
+            self.taint_map_address,
+            self.cache_enabled,
+            self.cache_capacity,
+            **options,
+        )
 
     def attach(self, node) -> wrappers.DisTARuntime:
         """Patch every instrumentation point on ``node``'s JNI table."""
         if node.jni.instrumented:
             raise InstrumentationError(f"node {node.name} is already instrumented")
-        client, transport = self._make_client(node)
-        runtime = wrappers.DisTARuntime(
-            node, client, self.byte_granularity, transport=transport
-        )
+        client = self._make_client(node)
+        runtime = wrappers.DisTARuntime(node, client, self.byte_granularity)
         if self.trace is not None:
             runtime.trace = self.trace
         if self.lineage is not None:

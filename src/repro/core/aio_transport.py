@@ -1,11 +1,11 @@
 """Multiplexed Taint Map transport with caller-runs cross-message coalescing.
 
-The pooled :class:`~repro.core.taintmap.TaintMapClient` burns one
-blocking connection per in-flight request and cannot batch across
-messages.  This module multiplexes and coalesces instead, and is the
-**default transport** (opt out with ``DISTA_TAINTMAP_TRANSPORT=pooled``).
-It starts no thread: the wrapper threads that need a Taint Map answer
-do the transport's work themselves.
+This is the request path of every
+:class:`~repro.core.taintmap.TaintMapClient`.  A blocking connection per
+in-flight request would cost one round-trip per message and could not
+batch across messages; this transport multiplexes and coalesces instead.
+It starts no thread: the wrapper threads that need a Taint Map answer do
+the transport's work themselves.
 
 * **One long-lived connection per shard.**  The client upgrades each
   connection with :data:`~repro.core.taintmap.OP_MUX_HELLO`; after the
@@ -55,9 +55,13 @@ do the transport's work themselves.
   ``dista_coalesce_backpressure_total``.
 
 * **Failover with in-flight requests.**  Replica rotation composes per
-  shard exactly as in the pooled client: a connection that dies hands
-  every request on it to the shard's next replica (idempotency makes
-  the retry safe).  Semantic errors (``STATUS_*``) never fail over.
+  shard: a connection that dies hands every request on it to the
+  shard's next replica (idempotency makes the retry safe).  Semantic
+  errors (``STATUS_*``) never fail over.  A deadline error
+  (:class:`~repro.errors.TaintMapDeadlineError`) is raised to the
+  waiting caller rather than replayed against the standby; the flush
+  that carried it still completes (or fails over) for the co-batched
+  callers that keep waiting.
 """
 
 from __future__ import annotations
@@ -67,9 +71,12 @@ import struct
 import threading
 import time
 from collections import OrderedDict
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.core.taintmap import (
+    DEFAULT_DEADLINE_S,
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_PENDING,
     OP_LOOKUP,
     OP_LOOKUP_MANY,
     OP_MUX_HELLO,
@@ -101,18 +108,6 @@ from repro.errors import (
     TaintMapTransportError,
 )
 from repro.runtime.kernel import Address, TcpEndpoint
-
-#: Entries that force an immediate flush.
-DEFAULT_MAX_BATCH = 512
-
-#: Per-shard pending-entry high-water mark (queued in windows plus
-#: carried by in-flight requests) before backpressure engages.
-DEFAULT_MAX_PENDING = 8192
-
-#: Default wall-clock deadline for one ``submit``/``submit_many`` (s).
-#: Generous next to any healthy round-trip; bounds how long a wrapper
-#: thread can hang on a wedged shard.
-DEFAULT_DEADLINE_S = 30.0
 
 #: Mask keeping correlation ids within their 4-byte wire field; the
 #: counter itself is unbounded (``itertools.count``) and would
@@ -193,7 +188,7 @@ class _Request:
 
     __slots__ = (
         "shard", "kind", "entries", "window", "counted", "op", "payload",
-        "tries", "attempts", "observed_active", "started", "conn",
+        "tries", "redialed", "attempts", "observed_active", "started", "conn",
     )
 
     def __init__(
@@ -221,6 +216,8 @@ class _Request:
         self.payload = payload
         #: Replicas that failed this request (failover budget).
         self.tries = 0
+        #: It already redialed its replica after a stale connection.
+        self.redialed = False
         #: Stale-ring re-routes behind this request.
         self.attempts = attempts
         self.observed_active = 0
@@ -248,6 +245,8 @@ class _MuxConnection:
         self.send_lock = threading.Lock()
         self.reading = False
         self.broken: Optional[Exception] = None
+        #: A reply arrived on it: a later failure means it went stale.
+        self.answered = False
         self._rx = bytearray()
 
     def correlate(self, request: _Request) -> int:
@@ -290,6 +289,8 @@ class _MuxConnection:
             frames.append((corr, status, bytes(rx[end - length : end])))
             offset = end
         del rx[:offset]
+        if frames:
+            self.answered = True
         return frames
 
 
@@ -310,14 +311,15 @@ class _Shard:
 
 
 class AsyncTaintMapTransport:
-    """The multiplexed, coalescing request path of :class:`AsyncTaintMapClient`.
+    """The multiplexed, coalescing request path of a
+    :class:`~repro.core.taintmap.TaintMapClient`.
 
-    ``submit``/``submit_many`` accept the pooled client's ``(shard, op,
-    payload)`` request shape, route the four map ops through the
+    ``submit``/``submit_many`` take ``(shard, op, payload)`` requests in
+    the sync protocol's encoding, route the four map ops through the
     coalescing windows, and return response payloads in exactly the sync
-    protocol's formats — so the caching and batching logic of
-    :class:`~repro.core.taintmap.TaintMapClient` runs unmodified on top.
-    All shared state is guarded by one lock; I/O runs outside it.
+    protocol's formats, so the client's caching and batching logic never
+    sees the multiplexing.  All shared state is guarded by one lock; I/O
+    runs outside it.
     """
 
     def __init__(
@@ -788,6 +790,7 @@ class AsyncTaintMapTransport:
             request = requests[index]
             index += 1
             request.observed_active = self.client._active[request.shard]
+            conn = None
             try:
                 conn = self._connection(request.shard)
                 with self._lock:
@@ -798,13 +801,15 @@ class AsyncTaintMapTransport:
                         self._inflight_child.inc()
                     self._changed.notify_all()
             except TRANSPORT_ERRORS as exc:
-                requests += self._retry(request, exc)
+                # With a connection in hand, it broke before this request
+                # went out on it: nothing was sent, so redialing is safe.
+                requests += self._retry(request, exc, stale=conn is not None)
                 continue
             except TaintMapError as exc:
                 self._finish(request, error=exc)
                 continue
-            # Timed from request-out, like the pooled _roundtrip: the
-            # dial and OP_MUX_HELLO upgrade are not RPC latency.
+            # Timed from request-out: the dial and OP_MUX_HELLO upgrade
+            # are not RPC latency.
             request.started = time.perf_counter()
             try:
                 requests += self._write(conn, mux_frame(corr, request.op, request.payload))
@@ -935,16 +940,23 @@ class AsyncTaintMapTransport:
             self._changed.notify_all()
         retries = []
         for request in requests:
-            retries += self._retry(request, exc)
+            retries += self._retry(request, exc, stale=conn.answered)
         return retries
 
-    def _retry(self, request: _Request, exc: Exception) -> list:
-        """Rotate the request's shard to its next replica and hand the
-        request back for re-sending, or settle it with the error once
-        every replica has failed it."""
+    def _retry(self, request: _Request, exc: Exception, stale: bool = False) -> list:
+        """Hand the request back for re-sending, or settle it with the
+        error once every replica has failed it.
+
+        A ``stale`` failure — on a connection that had already answered,
+        such as one left idle across a server restart — first redials
+        the same replica, once per request.  Any other failure rotates
+        the shard to its next replica."""
         client = self.client
         shard = request.shard
         replicas = len(client._shard_replicas[shard])
+        if stale and not request.redialed and not self._closed:
+            request.redialed = True
+            return [request]
         request.tries += 1
         if self._closed:
             exc = TaintMapError(_CLOSED)
@@ -959,56 +971,3 @@ class AsyncTaintMapTransport:
         # A single replica surfaces the transport error itself.
         self._finish(request, error=exc)
         return []
-
-
-class AsyncTaintMapClient(TaintMapClient):
-    """Drop-in :class:`~repro.core.taintmap.TaintMapClient` whose
-    transport is one multiplexed connection per shard plus cross-message
-    coalescing.  The sync ``gid_for``/``gids_for``/``taint_for``/
-    ``taints_for`` API, both-direction caches, shard routing, and HA
-    failover semantics are all inherited — only the two request-path
-    hooks (``_request`` / ``_request_by_shard``) change.
-    """
-
-    transport_name = "async"
-
-    def __init__(
-        self,
-        node,
-        address: Union[Address, Sequence[Address]],
-        cache_enabled: bool = True,
-        cache_capacity: Optional[int] = None,
-        coalesce_window_us: Optional[float] = None,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
-        max_pending: int = DEFAULT_MAX_PENDING,
-        backpressure: str = "block",
-        cache_admission: bool = False,
-    ):
-        super().__init__(node, address, cache_enabled, cache_capacity, cache_admission)
-        self.transport = AsyncTaintMapTransport(
-            self,
-            coalesce_window_us,
-            max_batch,
-            request_deadline_s=request_deadline_s,
-            max_pending=max_pending,
-            backpressure=backpressure,
-        )
-
-    def _on_shards_grown(self, shard_count: int) -> None:
-        self.transport.grow_to(shard_count)
-
-    def _on_shards_readdressed(self, indices) -> None:
-        self.transport.readdress(indices)
-
-    def _request(self, op: int, payload: bytes, shard: int = 0) -> bytes:
-        return self.transport.submit(shard, op, payload)
-
-    def _request_by_shard(
-        self, calls: Sequence[tuple[int, int, bytes]]
-    ) -> list[bytes]:
-        return self.transport.submit_many(calls)
-
-    def close(self) -> None:
-        self.transport.close()
-        super().close()

@@ -23,7 +23,6 @@ import threading
 from typing import Optional, Sequence, Union
 
 from repro.core import taintmap
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.taintmap import (
     GID_SEQ_MASK,
     STATUS_OK,
@@ -106,6 +105,8 @@ class ReplicatedTaintMapServer(TaintMapServer):
         self._standby_address = standby
         self._standby_lock = threading.Lock()
         self._standby_endpoint: Optional[TcpEndpoint] = None
+        #: Set by stop(): a handler still finishing must not redial.
+        self._stopped = False
         self.replicated = 0
         self.replication_failures = 0
 
@@ -130,6 +131,8 @@ class ReplicatedTaintMapServer(TaintMapServer):
         with self._standby_lock:
             try:
                 if self._standby_endpoint is None or self._standby_endpoint.closed:
+                    if self._stopped:
+                        raise TaintMapError("primary stopped; not redialing the standby")
                     self._standby_endpoint = self._kernel.connect(
                         self.address[0], self._standby_address
                     )
@@ -144,34 +147,67 @@ class ReplicatedTaintMapServer(TaintMapServer):
                     self.replication_failures += 1
             except Exception:
                 self.replication_failures += 1
-                self._standby_endpoint = None
+                endpoint, self._standby_endpoint = self._standby_endpoint, None
+                if endpoint is not None:
+                    endpoint.close()
+
+    def stop(self) -> None:
+        super().stop()
+        self._stopped = True
+        # Closing ends the standby's thread serving this stream.  The
+        # first close is unlocked so it also wakes a _replicate blocked
+        # on a wedged standby; the locked one catches a dial that raced
+        # the flag.
+        endpoint = self._standby_endpoint
+        if endpoint is not None:
+            endpoint.close()
+        with self._standby_lock:
+            if self._standby_endpoint is not None:
+                self._standby_endpoint.close()
 
 
-def _append_standbys(
-    client: TaintMapClient, standby: Union[Address, Sequence[Address]]
-) -> None:
-    """Widen each shard's replica list from ``[primary]`` to
-    ``[primary, standby]``.  The replica-rotation machinery itself lives
-    in the client's per-shard request path — both the pooled and async
-    failover clients only widen the lists."""
-    standbys = _normalize_addresses(standby)
-    if len(standbys) != len(client._shard_replicas):
-        raise TaintMapError(
-            f"{len(client._shard_replicas)} primary shard(s) but "
-            f"{len(standbys)} standby address(es)"
-        )
-    for replicas, standby_address in zip(client._shard_replicas, standbys):
-        replicas.append(standby_address)
+class FailoverTaintMapClient(TaintMapClient):
+    """A client that falls back to the standby when the primary dies.
 
+    ``primary`` and ``standby`` are each one address (single-point
+    deployment) or a sequence of per-shard addresses (sharded
+    deployment; both sequences in shard order and of equal length).
+    Each shard's replica list widens from ``[primary]`` to ``[primary,
+    standby]``; the transport rotates a shard to its next replica when
+    its connection breaks, and every request in flight on it retries
+    there (registration and lookup are idempotent, so the retry is
+    safe).  ``standby_factory`` names standbys for shards that appear
+    later via ring adoption, so failover keeps composing with elastic
+    scale-out.  The remaining keyword options configure the transport
+    as on :class:`~repro.core.taintmap.TaintMapClient`.
+    """
 
-class _ActiveAddressMixin:
-    #: Optional ``standby_factory(shard_index, primary_address) ->
-    #: Optional[Address]`` hook: when a ring adoption appends shards,
-    #: each new shard's replica list is widened with the factory's
-    #: standby (a None return leaves the shard standby-less).  Without
-    #: it, scaled-out shards simply run with one replica until the
-    #: deployment wires a standby in.
-    standby_factory = None
+    def __init__(
+        self,
+        node,
+        primary: Union[Address, Sequence[Address]],
+        standby: Union[Address, Sequence[Address]],
+        cache_enabled: bool = True,
+        cache_capacity: Optional[int] = None,
+        standby_factory=None,
+        **transport_options,
+    ):
+        super().__init__(node, primary, cache_enabled, cache_capacity, **transport_options)
+        standbys = _normalize_addresses(standby)
+        if len(standbys) != len(self._shard_replicas):
+            raise TaintMapError(
+                f"{len(self._shard_replicas)} primary shard(s) but "
+                f"{len(standbys)} standby address(es)"
+            )
+        for replicas, standby_address in zip(self._shard_replicas, standbys):
+            replicas.append(standby_address)
+        #: Optional ``standby_factory(shard_index, primary_address) ->
+        #: Optional[Address]`` hook: when a ring adoption appends shards,
+        #: each new shard's replica list is widened with the factory's
+        #: standby (a None return leaves the shard standby-less).
+        #: Without it, scaled-out shards simply run with one replica
+        #: until the deployment wires a standby in.
+        self.standby_factory = standby_factory
 
     @property
     def active_address(self) -> Address:
@@ -189,58 +225,3 @@ class _ActiveAddressMixin:
             if standby is not None:
                 replicas.append(tuple(standby))
         return replicas
-
-
-class FailoverTaintMapClient(_ActiveAddressMixin, TaintMapClient):
-    """A client that falls back to the standby when the primary dies.
-
-    ``primary`` and ``standby`` are each one address (single-point
-    deployment) or a sequence of per-shard addresses (sharded
-    deployment; both sequences in shard order and of equal length).
-    ``standby_factory`` names standbys for shards that appear later via
-    ring adoption, so failover keeps composing with elastic scale-out.
-    """
-
-    def __init__(
-        self,
-        node,
-        primary: Union[Address, Sequence[Address]],
-        standby: Union[Address, Sequence[Address]],
-        cache_enabled: bool = True,
-        cache_capacity: Optional[int] = None,
-        standby_factory=None,
-    ):
-        super().__init__(node, primary, cache_enabled, cache_capacity)
-        _append_standbys(self, standby)
-        self.standby_factory = standby_factory
-
-
-class AsyncFailoverTaintMapClient(_ActiveAddressMixin, AsyncTaintMapClient):
-    """The failover client on the async multiplexed transport.
-
-    Failover state is the same per-shard ``(replicas, active)`` pair the
-    pooled client rotates; when a multiplexed connection breaks, every
-    request in flight on it retries on the standby (registration and
-    lookup are idempotent, so the retry is safe).
-
-    Deadline errors (:class:`~repro.errors.TaintMapDeadlineError`) are
-    raised to the waiting caller, *outside* the per-replica retry: a
-    request that times out is surfaced rather than replayed against the
-    standby — by then the caller has already waited the full deadline,
-    and the flush that carried it still completes (or fails over) for
-    the co-batched callers that keep waiting.
-    """
-
-    def __init__(
-        self,
-        node,
-        primary: Union[Address, Sequence[Address]],
-        standby: Union[Address, Sequence[Address]],
-        cache_enabled: bool = True,
-        cache_capacity: Optional[int] = None,
-        standby_factory=None,
-        **transport_options,
-    ):
-        super().__init__(node, primary, cache_enabled, cache_capacity, **transport_options)
-        _append_standbys(self, standby)
-        self.standby_factory = standby_factory

@@ -185,10 +185,6 @@ def launch_cluster(
         agent_options["byte_granularity"] = False
     if "gidCacheCapacity" in options.extras:
         agent_options["cache_capacity"] = int(options.extras["gidCacheCapacity"])
-    if "taintMapAsync" in options.extras:
-        # Async is the default; taintMapAsync=off opts back into pooled.
-        async_on = parse_switch(options.extras["taintMapAsync"], "taintMapAsync")
-        agent_options["transport"] = "async" if async_on else "pooled"
     if "coalesceWindowUs" in options.extras:
         agent_options["coalesce_window_us"] = float(options.extras["coalesceWindowUs"])
     if "taintMapDeadlineS" in options.extras:
@@ -213,10 +209,6 @@ def launch_cluster(
         # controller at a previous run's converged operating point
         # ('+' separates methods because extras split on commas).
         agent_options["budget_warm_start"] = options.extras["budgetWarmStart"]
-    if "gidCacheAdmission" in options.extras:
-        agent_options["cache_admission"] = parse_switch(
-            options.extras["gidCacheAdmission"], "gidCacheAdmission"
-        )
     # lineage=on enables flow-lineage capture: the Cluster builds a
     # bounded LineageStore (and a CrossingTrace to stitch from).
     lineage = None

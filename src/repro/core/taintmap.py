@@ -601,7 +601,6 @@ class TaintMapStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
-        self.cache_admission_rejections = 0
         self.close_errors = 0
         self.stale_ring_retries = 0
         self.handoff_entries = 0
@@ -632,7 +631,6 @@ class TaintMapStats:
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
                 "cache_evictions": self.cache_evictions,
-                "cache_admission_rejections": self.cache_admission_rejections,
                 "close_errors": self.close_errors,
                 "stale_ring_retries": self.stale_ring_retries,
                 "handoff_entries": self.handoff_entries,
@@ -654,73 +652,15 @@ class TaintMapStats:
         return totals
 
 
-#: Fraction of a bounded cache's capacity given to the probation
-#: segment; the rest is the protected segment.
-_PROBATION_FRACTION = 0.2
-
-#: Counter ceiling of the TinyLFU sketch (4-bit counters).
-_SKETCH_MAX = 15
-
-
-class _FrequencySketch:
-    """TinyLFU frequency sketch: a 4-bit count-min with periodic halving.
-
-    Four hash rows over one table (double hashing from a single mixed
-    64-bit hash), conservative increment, counters saturating at
-    :data:`_SKETCH_MAX`.  After ``10 × table_size`` recorded accesses
-    every counter is halved — the aging step that makes the estimate a
-    *recent*-frequency, so yesterday's hot keys cannot squat in the
-    cache forever.  Estimates are only ever compared against each other
-    (candidate vs victim), so saturation and halving bias cancel out.
-    """
-
-    DEPTH = 4
-
-    def __init__(self, capacity: int):
-        size = 64
-        while size < capacity * 2:
-            size <<= 1
-        self._mask = size - 1
-        self._table = bytearray(size)
-        self._additions = 0
-        self._sample_period = size * 10
-
-    def _rows(self, key) -> list[int]:
-        mixed = (hash(key) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        h1 = mixed >> 32
-        h2 = (mixed & 0xFFFFFFFF) | 1  # odd step walks the whole table
-        return [(h1 + i * h2) & self._mask for i in range(self.DEPTH)]
-
-    def record(self, key) -> None:
-        rows = self._rows(key)
-        lowest = min(self._table[slot] for slot in rows)
-        if lowest < _SKETCH_MAX:
-            # Conservative update: only the minimal counters move, which
-            # keeps over-estimation (the count-min failure mode) small.
-            for slot in rows:
-                if self._table[slot] == lowest:
-                    self._table[slot] = lowest + 1
-        self._additions += 1
-        if self._additions >= self._sample_period:
-            self._halve()
-
-    def estimate(self, key) -> int:
-        return min(self._table[slot] for slot in self._rows(key))
-
-    def _halve(self) -> None:
-        table = self._table
-        for i in range(len(table)):
-            table[i] >>= 1
-        self._additions >>= 1
-
-
 class _LruCache:
-    """Thread-safe mapping: unbounded, or bounded **segmented LRU**.
+    """Thread-safe mapping: unbounded, or bounded LRU.
 
     ``capacity=None`` (the default) never evicts — preserving Fig. 9's
     "does not need to request a Global ID again" guarantee exactly.  A
-    bounded cache trades that for bounded memory on long-lived nodes;
-    evicted entries simply re-register/re-look-up on next use.
+    bounded cache trades that for bounded memory on long-lived nodes:
+    past ``capacity`` entries the least recently used one is evicted
+    (counted in ``cache_evictions``) and simply re-registers or
+    re-looks-up on next use.
 
     :attr:`lookup` is the read the client uses.  On the unbounded cache
     it is the backing dict's ``get``: one probe, no lock, because a
@@ -729,141 +669,49 @@ class _LruCache:
     ``lookup`` is the locked :meth:`get`.  Neither counts hits or
     misses; the client adds them once per resolver call
     (:meth:`TaintMapStats.count_probes`).
-
-    The bounded policy is segmented (SLRU) rather than plain LRU for
-    scan resistance: a GID burst from someone else's snapshot transfer
-    is a one-pass key scan that plain LRU lets flush the whole cache.
-    New entries land in a small **probation** segment
-    (:data:`_PROBATION_FRACTION` of capacity); only a hit while on
-    probation promotes to **protected**.  Scanned-once keys march
-    through probation and fall out without ever touching the protected
-    segment, so the re-referenced working set survives the scan.
-
-    ``admission=True`` adds **TinyLFU admission** in front of probation:
-    every ``get`` records the key in a :class:`_FrequencySketch`, and a
-    *new* key is only inserted into a full cache when its estimated
-    recent frequency beats the probation LRU victim it would evict.
-    SLRU protects the working set from one-pass scans; TinyLFU targets
-    *skewed* traffic, where plain recency lets a long tail of once-used
-    keys continuously insert-and-evict through probation — the sketch
-    bounces those at the door, keeping the churn off the lock-held fast
-    path at hit-rate parity.  Off by default: admission refuses cold
-    inserts, which changes eviction-count semantics for workloads that
-    expect pure LRU behaviour.
     """
 
-    def __init__(
-        self,
-        capacity: Optional[int],
-        stats: TaintMapStats,
-        admission: bool = False,
-    ):
+    def __init__(self, capacity: Optional[int], stats: TaintMapStats):
         if capacity is not None and capacity < 1:
             raise TaintMapError(f"cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity
         self._stats = stats
         self._lock = threading.Lock()
-        # capacity=None keeps everything in _probation, a plain dict that
-        # never evicts or reorders.
-        self._probation = {} if capacity is None else OrderedDict()
-        self._protected: OrderedDict = OrderedDict()
-        self.lookup = self._probation.get if capacity is None else self.get
-        self._sketch = (
-            _FrequencySketch(capacity) if admission and capacity is not None else None
-        )
-        if capacity is None:
-            self._protected_cap = 0
-        else:
-            probation_cap = max(1, int(capacity * _PROBATION_FRACTION))
-            self._protected_cap = max(0, capacity - probation_cap)
+        self._entries = {} if capacity is None else OrderedDict()
+        self.lookup = self._entries.get if capacity is None else self.get
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._probation) + len(self._protected)
+        return len(self._entries)
 
     def clear(self) -> None:
         with self._lock:
-            self._probation.clear()
-            self._protected.clear()
+            self._entries.clear()
 
     def get(self, key):
         with self._lock:
-            if self._sketch is not None:
-                self._sketch.record(key)
-            if key in self._protected:
-                self._protected.move_to_end(key)
-                return self._protected[key]
-            if key not in self._probation:
-                return None
-            if self._capacity is None:
-                return self._probation[key]
-            value = self._probation.pop(key)
-            self._promote(key, value)
+            value = self._entries.get(key)
+            if value is not None and self._capacity is not None:
+                self._entries.move_to_end(key)
             return value
 
     def put(self, key, value) -> None:
         with self._lock:
-            if key in self._protected:
-                self._protected[key] = value
-                self._protected.move_to_end(key)
-                return
-            if key not in self._probation and self._rejected_by_admission(key):
-                return
-            self._probation[key] = value
+            self._entries[key] = value
             if self._capacity is not None:
-                self._probation.move_to_end(key)
+                self._entries.move_to_end(key)
                 self._evict_over_capacity()
 
     def setdefault(self, key, value) -> None:
         """Insert without touching hit/miss accounting (secondary fills)."""
         with self._lock:
-            if key in self._protected or key in self._probation:
-                return
-            if self._rejected_by_admission(key):
-                return
-            self._probation[key] = value
-            if self._capacity is not None:
-                self._evict_over_capacity()
-
-    def _rejected_by_admission(self, key) -> bool:
-        """TinyLFU gate for a *new* key: admitting into a full cache
-        must be worth the eviction it forces.  Ties keep the incumbent —
-        the candidate can always come back once it is provably hotter."""
-        if self._sketch is None or len(self._probation) + len(self._protected) < self._capacity:
-            return False
-        if self._probation:
-            victim = next(iter(self._probation))
-        elif self._protected:
-            victim = next(iter(self._protected))
-        else:
-            return False
-        if self._sketch.estimate(key) > self._sketch.estimate(victim):
-            return False
-        self._stats.bump("cache_admission_rejections")
-        return True
-
-    def _promote(self, key, value) -> None:
-        """Probation hit: move to protected, demoting its LRU entry back
-        to probation MRU if the protected segment is full."""
-        if self._protected_cap == 0:
-            # Degenerate tiny capacity: everything stays on probation.
-            self._probation[key] = value
-            self._probation.move_to_end(key)
-            return
-        self._protected[key] = value
-        self._protected.move_to_end(key)
-        while len(self._protected) > self._protected_cap:
-            demoted_key, demoted_value = self._protected.popitem(last=False)
-            self._probation[demoted_key] = demoted_value
-            self._probation.move_to_end(demoted_key)
-        self._evict_over_capacity()
+            if key not in self._entries:
+                self._entries[key] = value
+                if self._capacity is not None:
+                    self._evict_over_capacity()
 
     def _evict_over_capacity(self) -> None:
-        while len(self._probation) + len(self._protected) > self._capacity:
-            if self._probation:
-                self._probation.popitem(last=False)
-            else:
-                self._protected.popitem(last=False)
+        while len(self._entries) > self._capacity:
+            self._entries.popitem(last=False)
             self._stats.bump("cache_evictions")
 
 
@@ -1758,6 +1606,19 @@ def _normalize_addresses(address) -> list[Address]:
     return addresses
 
 
+#: Entries that force an immediate coalescing-window flush.
+DEFAULT_MAX_BATCH = 512
+
+#: Per-shard pending-entry high-water mark (queued in windows plus
+#: carried by in-flight requests) before backpressure engages.
+DEFAULT_MAX_PENDING = 8192
+
+#: Default wall-clock deadline for one Taint Map request (s).  Generous
+#: next to any healthy round-trip; bounds how long a wrapper thread can
+#: hang on a wedged shard.
+DEFAULT_DEADLINE_S = 30.0
+
+
 class TaintMapClient:
     """Per-node connection to the Taint Map, with both-direction caches.
 
@@ -1765,10 +1626,13 @@ class TaintMapClient:
     single-point deployment — or a sequence of shard addresses in shard
     order.  Registrations route by consistent hash of the canonical
     taint key; lookups route by the shard bits of the received GID.
-    Each shard gets its own **connection pool**, so concurrent JNI
-    wrappers on one node issue requests in parallel instead of queueing
-    behind a single locked connection, and batch operations resolve
-    their per-shard sub-batches concurrently (one round-trip per shard).
+    Requests travel over one multiplexed connection per shard with
+    cross-message coalescing
+    (:class:`~repro.core.aio_transport.AsyncTaintMapTransport`):
+    concurrent JNI wrappers on one node share round-trips, and a batch
+    spanning shards costs one round-trip time.
+    ``coalesce_window_us``, ``max_batch``, ``request_deadline_s``,
+    ``max_pending`` and ``backpressure`` configure that transport.
 
     ``cache_enabled=False`` exists only for the ablation benchmark — it
     re-registers every byte's taint, demonstrating why Fig. 9's step ②
@@ -1776,14 +1640,6 @@ class TaintMapClient:
     ``cache_capacity`` optionally bounds both caches with LRU eviction
     (default unbounded, preserving Fig. 9 semantics exactly).
     """
-
-    #: Idle connections kept per shard; beyond this, released
-    #: connections are closed rather than pooled.
-    MAX_IDLE_PER_SHARD = 8
-
-    #: Telemetry label naming the request transport; the async client
-    #: (:mod:`repro.core.aio_transport`) overrides it.
-    transport_name = "pooled"
 
     #: Consecutive ``STATUS_STALE_RING`` replies tolerated on one
     #: logical registration before giving up.  A live scale-out settles
@@ -1797,8 +1653,15 @@ class TaintMapClient:
         address: Union[Address, Sequence[Address]],
         cache_enabled: bool = True,
         cache_capacity: Optional[int] = None,
-        cache_admission: bool = False,
+        coalesce_window_us: Optional[float] = None,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        request_deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
+        max_pending: int = DEFAULT_MAX_PENDING,
+        backpressure: str = "block",
     ):
+        # Function-level: aio_transport builds on this module.
+        from repro.core.aio_transport import AsyncTaintMapTransport
+
         self._node = node
         #: Replica candidates per shard; the base client has exactly one
         #: per shard, :class:`~repro.core.ha.FailoverTaintMapClient`
@@ -1809,9 +1672,8 @@ class TaintMapClient:
         self._active = [0] * len(self._shard_replicas)
         self._ring = ShardRing(0, [replicas[0] for replicas in self._shard_replicas])
         self._router = self._ring.router()
+        self._ring_lock = threading.Lock()
         self._cache_enabled = cache_enabled
-        self._pool_lock = threading.Lock()
-        self._pools: list[list[TcpEndpoint]] = [[] for _ in self._shard_replicas]
         #: Client-side counters: cache hits/misses/evictions.
         self.stats = TaintMapStats()
         #: taint node identity → (Global ID, taint handle).  Keyed by
@@ -1820,9 +1682,9 @@ class TaintMapClient:
         #: The entry holds a strong reference to the taint so its node
         #: can never be garbage-collected while cached — otherwise a
         #: reused ``id()`` could alias a dead node's Global ID.
-        self._gid_cache = _LruCache(cache_capacity, self.stats, cache_admission)
+        self._gid_cache = _LruCache(cache_capacity, self.stats)
         #: Global ID → local Taint handle.
-        self._taint_cache = _LruCache(cache_capacity, self.stats, cache_admission)
+        self._taint_cache = _LruCache(cache_capacity, self.stats)
         self.requests_sent = 0
         #: Node telemetry (None for bare test nodes without a registry).
         self._metrics = getattr(node, "metrics", None)
@@ -1848,6 +1710,14 @@ class TaintMapClient:
                 buckets=16,
             )
             self._metrics.register_collector(self._cache_samples)
+        self.transport = AsyncTaintMapTransport(
+            self,
+            coalesce_window_us,
+            max_batch,
+            request_deadline_s=request_deadline_s,
+            max_pending=max_pending,
+            backpressure=backpressure,
+        )
 
     def _cache_samples(self) -> dict:
         """Scrape-time fold of the client-side cache counters."""
@@ -1860,10 +1730,6 @@ class TaintMapClient:
                     {"labels": {"event": "hit"}, "value": snap["cache_hits"]},
                     {"labels": {"event": "miss"}, "value": snap["cache_misses"]},
                     {"labels": {"event": "eviction"}, "value": snap["cache_evictions"]},
-                    {
-                        "labels": {"event": "admission_rejection"},
-                        "value": snap["cache_admission_rejections"],
-                    },
                 ],
             },
             "dista_taintmap_close_errors_total": {
@@ -1886,10 +1752,8 @@ class TaintMapClient:
     def _observe_rpc(self, op: int, elapsed: float) -> None:
         if self._rpc_seconds is not None:
             name = op_name(op)
-            self._rpc_seconds.labels(op=name, transport=self.transport_name).observe(
-                elapsed
-            )
-            self._requests_total.labels(op=name, transport=self.transport_name).inc()
+            self._rpc_seconds.labels(op=name, transport="async").observe(elapsed)
+            self._requests_total.labels(op=name, transport="async").inc()
 
     def _observe_batch(self, op: int, entries: int) -> None:
         if self._batch_entries is not None:
@@ -1914,14 +1778,13 @@ class TaintMapClient:
         STALE_RING replies can arrive out of order).
 
         Retired slots **readdress** rather than grow: the drained
-        shard's slot takes the forwarding (successor) address, stale
-        pooled connections to the drained process are discarded, and
-        lookups for the drained shard's GID bits transparently dial the
-        forward shard.  Readdressed slots are exempt from the
-        address-preservation check — moving is their whole point.
+        shard's slot takes the forwarding (successor) address, its
+        connection is dropped, and lookups for the drained shard's GID
+        bits transparently dial the forward shard.  Readdressed slots
+        are exempt from the address-preservation check — moving is
+        their whole point.
         """
-        stale: list[TcpEndpoint] = []
-        with self._pool_lock:
+        with self._ring_lock:
             if ring.epoch <= self._ring.epoch:
                 return False
             for index, replicas in enumerate(self._shard_replicas):
@@ -1943,24 +1806,19 @@ class TaintMapClient:
                     self._replicas_for_new_shard(index, ring.addresses[index])
                 )
                 self._active[index] = 0
-                stale.extend(self._pools[index])
-                self._pools[index].clear()
                 readdressed.append(index)
             for index in range(len(self._shard_replicas), ring.shard_count):
                 self._shard_replicas.append(
                     list(self._replicas_for_new_shard(index, ring.addresses[index]))
                 )
                 self._active.append(0)
-                self._pools.append([])
             grown = len(self._shard_replicas)
-        for endpoint in stale:
-            self._close_quietly(endpoint)
-        # Outside the pool lock: the async transport grows its per-shard
-        # state under its own lock, never nested inside a client lock.
-        self._on_shards_grown(grown)
+        # Outside the ring lock: the transport grows its per-shard state
+        # under its own lock, never nested inside a client lock.
+        self.transport.grow_to(grown)
         if readdressed:
-            self._on_shards_readdressed(readdressed)
-        with self._pool_lock:
+            self.transport.readdress(readdressed)
+        with self._ring_lock:
             if ring.epoch <= self._ring.epoch:
                 return False  # a racing adopter moved us even further
             self._ring = ring
@@ -1973,176 +1831,11 @@ class TaintMapClient:
         grow their per-shard standby lists with the ring."""
         return [address]
 
-    def _on_shards_grown(self, shard_count: int) -> None:
-        """Hook for transports with per-shard state beyond the pools."""
-
-    def _on_shards_readdressed(self, indices: list[int]) -> None:
-        """Hook: the listed shard slots changed address (drain
-        forwarding).  Transports with cached per-shard connections drop
-        them so new requests dial the forwarding shard."""
-
-    # -- connection pool ------------------------------------------------- #
-
-    @property
-    def _endpoint(self) -> Optional[TcpEndpoint]:
-        """Compatibility view of the transport: shard 0's most recently
-        pooled connection (the seed client's single connection)."""
-        with self._pool_lock:
-            pool = self._pools[0]
-            return pool[-1] if pool else None
-
-    @_endpoint.setter
-    def _endpoint(self, value) -> None:
-        if value is not None:
-            raise TaintMapError("_endpoint can only be reset to None")
-        self._drop_pools()
-
-    def _close_quietly(self, endpoint: TcpEndpoint) -> None:
-        """Close an endpoint, suppressing (and counting) close-time
-        socket errors — one bad endpoint must never abort a cache/pool
-        reset that still has healthy endpoints to release."""
-        try:
-            endpoint.close()
-        except Exception:
-            self.stats.bump("close_errors")
-
-    def _drop_pools(self) -> None:
-        with self._pool_lock:
-            endpoints = [e for pool in self._pools for e in pool]
-            for pool in self._pools:
-                pool.clear()
-        for endpoint in endpoints:
-            self._close_quietly(endpoint)
-
-    def _acquire(self, shard: int) -> tuple[TcpEndpoint, bool]:
-        """An idle pooled connection (reused=True) or a fresh connect."""
-        with self._pool_lock:
-            pool = self._pools[shard]
-            while pool:
-                endpoint = pool.pop()
-                if not endpoint.closed:
-                    return endpoint, True
-            address = self._shard_replicas[shard][self._active[shard]]
-        return self._node.kernel.connect(self._node.ip, address), False
-
-    def _release(self, shard: int, endpoint: TcpEndpoint) -> None:
-        with self._pool_lock:
-            pool = self._pools[shard]
-            if len(pool) < self.MAX_IDLE_PER_SHARD:
-                pool.append(endpoint)
-                return
-        self._close_quietly(endpoint)
-
-    def _rotate(self, shard: int, observed_active: int) -> None:
-        """Fail over ``shard`` to its next replica (no-op if another
-        thread already rotated past ``observed_active``)."""
-        with self._pool_lock:
-            if self._active[shard] != observed_active:
-                return
-            self._active[shard] = (observed_active + 1) % len(
-                self._shard_replicas[shard]
-            )
-            stale = list(self._pools[shard])
-            self._pools[shard].clear()
-        for endpoint in stale:
-            self._close_quietly(endpoint)
-
     # -- request path ----------------------------------------------------- #
-
-    def _roundtrip(self, endpoint: TcpEndpoint, op: int, payload: bytes) -> tuple[int, bytes]:
-        started = time.perf_counter()
-        _send_frame(endpoint, bytes([op]), payload)
-        status = _recv_exact(endpoint, 1)[0]
-        (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
-        response = _recv_exact(endpoint, length) if length else b""
-        with self.stats._lock:
-            self.requests_sent += 1
-        self._observe_rpc(op, time.perf_counter() - started)
-        return status, response
-
-    def _attempt(self, shard: int, op: int, payload: bytes) -> tuple[int, bytes]:
-        """One request against the shard's active replica.
-
-        A connection that fails mid-frame is **always closed and
-        discarded** — a poisoned half-read connection must never return
-        to the pool, or its buffered remainder would desynchronize
-        framing for every subsequent request.  Failures on *reused*
-        pooled connections (which may simply have gone stale while idle)
-        retry once on a fresh connection; fresh-connection failures
-        propagate to the failover layer.
-        """
-        while True:
-            endpoint, reused = self._acquire(shard)
-            try:
-                status, response = self._roundtrip(endpoint, op, payload)
-            except Exception:
-                self._close_quietly(endpoint)
-                if reused:
-                    continue
-                raise
-            self._release(shard, endpoint)
-            return status, response
-
-    def _request(self, op: int, payload: bytes, shard: int = 0) -> bytes:
-        replicas = self._shard_replicas[shard]
-        last_error: Optional[Exception] = None
-        for _ in range(len(replicas)):
-            observed_active = self._active[shard]
-            try:
-                status, response = self._attempt(shard, op, payload)
-            except TRANSPORT_ERRORS as exc:
-                last_error = exc
-                self._rotate(shard, observed_active)
-                continue
-            # Protocol-level status: semantic errors never fail over.
-            if status == STATUS_UNKNOWN_GID:
-                raise TaintMapError("unknown Global ID")
-            if status == STATUS_STALE_RING:
-                raise self._stale_ring_error(shard, response)
-            if status == STATUS_GID_EXHAUSTED:
-                raise TaintMapExhaustedError(
-                    f"shard {shard} has exhausted its Global-ID sequence space"
-                )
-            if status != STATUS_OK:
-                raise TaintMapError(f"taint map rejected request (status {status})")
-            return response
-        if len(replicas) == 1:
-            raise last_error  # single replica: surface the transport error
-        raise TaintMapError(f"all taint map replicas unreachable: {last_error}")
-
-    def _request_by_shard(
-        self, calls: Sequence[tuple[int, int, bytes]]
-    ) -> list[bytes]:
-        """Fire ``(shard, op, payload)`` requests concurrently, one
-        thread per shard, preserving the one-round-trip-per-shard
-        property for batches that span the ring."""
-        if len(calls) == 1:
-            shard, op, payload = calls[0]
-            return [self._request(op, payload, shard)]
-        results: list[Optional[bytes]] = [None] * len(calls)
-        errors: list[Exception] = []
-
-        def fire(index: int, shard: int, op: int, payload: bytes) -> None:
-            try:
-                results[index] = self._request(op, payload, shard)
-            except Exception as exc:
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=fire, args=(i, *call), daemon=True)
-            for i, call in enumerate(calls)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results  # type: ignore[return-value]
 
     def _stale_ring_error(self, shard: int, response: bytes) -> TaintMapStaleRingError:
         """Decode a STALE_RING reply, adopt its ring, build the retryable
-        error.  Shared by the pooled request path and the async flush."""
+        error (the transport calls this when re-routing a register)."""
         self.stats.bump("stale_ring_retries")
         ring = ShardRing.decode(response) if response else None
         adopted = self.adopt_ring(ring) if ring is not None else False
@@ -2181,8 +1874,8 @@ class TaintMapClient:
         payload = serialize_tags(taint.tags)
         for attempt in range(self.RING_RETRY_LIMIT):
             try:
-                response = self._request(
-                    OP_REGISTER, payload, self._shard_for_taint(taint)
+                response = self.transport.submit(
+                    self._shard_for_taint(taint), OP_REGISTER, payload
                 )
                 break
             except TaintMapStaleRingError:
@@ -2260,8 +1953,8 @@ class TaintMapClient:
                 (taint, positions)
             )
         # A sub-batch beyond the 16-bit wire count is chunked into
-        # several frames (each entry count fits ``>H``); the chunks
-        # still fire concurrently with every other call.
+        # several frames (each entry count fits ``>H``); every frame is
+        # sent before the caller waits on any reply.
         calls, chunks = [], []
         for shard, entries in by_shard.items():
             for chunk in _protocol_chunks(entries):
@@ -2276,7 +1969,7 @@ class TaintMapClient:
                 )
                 chunks.append(chunk)
                 self._observe_batch(OP_REGISTER_MANY, len(chunk))
-        responses = self._request_by_shard(calls)
+        responses = self.transport.submit_many(calls)
         for chunk, response in zip(chunks, responses):
             new_gids = struct.unpack(f">{len(chunk)}I", response)
             for (taint, positions), gid in zip(chunk, new_gids):
@@ -2311,8 +2004,8 @@ class TaintMapClient:
                 self.stats.count_probes(1, 0)
                 return cached
             self.stats.count_probes(0, 1)
-        serialized = self._request(
-            OP_LOOKUP, struct.pack(">I", gid), self._shard_for_gid(gid)
+        serialized = self.transport.submit(
+            self._shard_for_gid(gid), OP_LOOKUP, struct.pack(">I", gid)
         )
         taint = self._record_resolved(gid, serialized)
         return taint
@@ -2348,7 +2041,7 @@ class TaintMapClient:
                     calls.append((shard, OP_LOOKUP_MANY, _pack_batch_lookup(chunk)))
                     chunks.append(chunk)
                     self._observe_batch(OP_LOOKUP_MANY, len(chunk))
-            responses = self._request_by_shard(calls)
+            responses = self.transport.submit_many(calls)
             for chunk, response in zip(chunks, responses):
                 for gid, serialized in zip(
                     chunk, _split_batch_lookup_response(response, len(chunk))
@@ -2367,7 +2060,7 @@ class TaintMapClient:
         return taint
 
     def close(self) -> None:
-        self._drop_pools()
+        self.transport.close()
         # Detach the cache collector: a detached client must not keep
         # reporting (or keep itself alive) through the node's registry.
         if self._metrics is not None:

@@ -86,10 +86,10 @@ class LabelResolver:
 
     The wrappers hand this to the codecs instead of individual
     callables, so the whole resolution path — including the transport
-    behind it (pooled threads, or the multiplexed client whose calling
-    threads coalesce their requests across messages,
-    :mod:`repro.core.aio_transport`) — is swappable in one place.  Every codec below also still accepts the
-    bare callables for backwards compatibility.
+    behind it, whose calling threads coalesce their requests across
+    messages (:mod:`repro.core.aio_transport`) — is swappable in one
+    place.  Every codec below also still accepts the bare callables for
+    backwards compatibility.
     """
 
     __slots__ = ("gid_for", "gids_for", "taint_for", "taints_for")

@@ -28,7 +28,6 @@ from time import perf_counter
 from typing import Optional
 
 from repro.core import wire
-from repro.core.aio_transport import FLUSH_REASONS
 from repro.core.taintmap import TaintMapClient
 from repro.core.trace import NULL_TRACE
 from repro.errors import WireFormatError
@@ -66,16 +65,12 @@ class DisTARuntime:
         client: TaintMapClient,
         byte_granularity: bool = True,
         trace=NULL_TRACE,
-        transport: str = "pooled",
     ):
         self.node = node
         self.client = client
         #: Every wrapper resolves labels through this bundle, so the
-        #: transport behind it (pooled threads vs the async multiplexed
-        #: client) is swappable without touching wrapper code.
+        #: client behind it is swappable without touching wrapper code.
         self.resolver = wire.LabelResolver.for_client(client)
-        #: Which transport the agent selected ("pooled" or "async").
-        self.transport = transport
         #: False only in the granularity ablation: whole-message tainting.
         self.byte_granularity = byte_granularity
         #: Optional CrossingTrace recording tainted boundary crossings.
@@ -99,42 +94,6 @@ class DisTARuntime:
         self.metrics = getattr(node, "metrics", None)
         if self.metrics is not None:
             self.metrics.register_collector(self._io_samples)
-            # Pre-declare the transport-side families (the async client
-            # populates them) so /metrics has the same shape under both
-            # transports — zero-valued rather than absent under pooled.
-            flush = self.metrics.counter(
-                "dista_coalesce_flush_total",
-                "Coalescing-window flushes by trigger "
-                "(size/timer/backpressure/idle/chained).",
-                ("reason",),
-            )
-            for reason in FLUSH_REASONS:
-                flush.labels(reason=reason)
-            self.metrics.histogram(
-                "dista_coalesce_window_entries",
-                "Entries per flushed coalescing window.",
-                (),
-                lowest=1.0,
-                buckets=16,
-            )
-            backpressure = self.metrics.counter(
-                "dista_coalesce_backpressure_total",
-                "Entries gated at a shard's pending-window high-water mark.",
-                ("action",),
-            )
-            for action in ("block", "shed"):
-                backpressure.labels(action=action)
-            self.metrics.gauge(
-                "dista_coalesce_window_us",
-                "Effective coalescing window per shard in microseconds "
-                "(0 under the default timer-free policy, else the pinned "
-                "static window).",
-                ("shard",),
-            )
-            self.metrics.gauge(
-                "dista_taintmap_inflight_requests",
-                "Requests in flight on the multiplexed Taint Map connections.",
-            )
 
     def record_io(self, direction: str, method: str, data: TBytes, channel=None) -> None:
         """One wrapper-boundary event: telemetry plus the crossing trace.

@@ -37,14 +37,12 @@ class Cluster:
         name: str = "cluster",
         agent_options: Optional[dict] = None,
         taint_map_shards: int = 1,
-        taint_map_transport: Optional[str] = None,
         coalesce_window_us: Optional[float] = None,
         request_deadline_s: Optional[float] = None,
         overhead_budget: Optional[float] = None,
         taint_sample_every: Optional[int] = None,
         taint_map_max_shards: Optional[int] = None,
         budget_warm_start=None,
-        cache_admission: Optional[bool] = None,
         lineage=None,
         taint_map_durable: bool = False,
         taint_map_snapshot_every: Optional[int] = None,
@@ -70,16 +68,11 @@ class Cluster:
                 self.agent_options["trace"] = CrossingTrace()
         else:
             self.lineage_store = None
-        #: Taint Map transport: "async" (default) or "pooled"; ``None``
-        #: defers to the ``DISTA_TAINTMAP_TRANSPORT`` environment
-        #: variable, so CI can flip a whole suite without code changes.
-        if taint_map_transport is not None:
-            self.agent_options.setdefault("transport", taint_map_transport)
-        #: Async-transport coalescing window in microseconds (pinning a
+        #: Taint Map coalescing window in microseconds (pinning a
         #: window replaces the timer-free default with a static timer).
         if coalesce_window_us is not None:
             self.agent_options.setdefault("coalesce_window_us", coalesce_window_us)
-        #: Async-transport per-request deadline (s); 0 disables it.
+        #: Taint Map per-request deadline (s); 0 disables it.
         if request_deadline_s is not None:
             self.agent_options.setdefault("request_deadline_s", request_deadline_s)
         #: Budgeted tracking: overhead ceiling and flow-sampling period.
@@ -93,9 +86,6 @@ class Cluster:
         #: level instead of re-paying the breach transient.
         if budget_warm_start is not None:
             self.agent_options.setdefault("budget_warm_start", budget_warm_start)
-        #: TinyLFU admission for client GID/taint caches.
-        if cache_admission is not None:
-            self.agent_options.setdefault("cache_admission", cache_admission)
         #: Number of Taint Map shards (shard i at TAINT_MAP_PORT + i).
         #: The default single shard is byte-identical to the unsharded
         #: deployment.

@@ -2,7 +2,7 @@
 framing, cross-message coalescing (timer vs size flush), out-of-order
 response delivery, mid-frame connection kill, per-shard failover with
 in-flight requests, the caller-runs lifecycle (no thread, nothing left
-pending), and the transport-selection knobs."""
+pending), and the transport's construction paths."""
 
 import struct
 import threading
@@ -12,13 +12,9 @@ import pytest
 
 from repro.core import aio_transport
 from repro.core.agent import DisTAAgent, resolve_transport
-from repro.core.aio_transport import (
-    DEFAULT_MAX_BATCH,
-    AsyncTaintMapClient,
-    mux_frame,
-)
+from repro.core.aio_transport import DEFAULT_MAX_BATCH, mux_frame
 from repro.core.ha import (
-    AsyncFailoverTaintMapClient,
+    FailoverTaintMapClient,
     ReplicatedTaintMapServer,
     StandbyTaintMapServer,
 )
@@ -36,7 +32,7 @@ from repro.core.taintmap import (
     serialize_tags,
     taint_key,
 )
-from repro.errors import InstrumentationError, PipeClosed, TaintMapError
+from repro.errors import PipeClosed, TaintMapError
 from repro.jre import ServerSocket, Socket
 from repro.runtime.cluster import TAINT_MAP_IP, TAINT_MAP_PORT, Cluster
 from repro.runtime.fs import SimFileSystem
@@ -127,7 +123,7 @@ class TestMuxFraming:
 
         # A pinned zero window flushes each caller's register at once
         # even while the other's is in flight: two separate frames.
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, (TAINT_MAP_IP, TAINT_MAP_PORT), coalesce_window_us=0.0
         )
         gids = {}
@@ -153,17 +149,17 @@ class TestMuxFraming:
 
 
 class TestAsyncClientApi:
-    def test_register_lookup_interop_with_pooled_client(self, single):
+    def test_register_lookup_interop_between_clients(self, single):
         kernel, fs, server, node = single
-        aclient = AsyncTaintMapClient(node, server.address)
+        aclient = TaintMapClient(node, server.address)
         node2 = _node(kernel, fs, "n2", "10.0.0.2", 2)
-        pooled = TaintMapClient(node2, server.address)
+        other = TaintMapClient(node2, server.address, coalesce_window_us=0)
 
         taints = [node.tree.taint_for_tag(f"t{i}") for i in range(10)]
         gids = aclient.gids_for(taints)
-        # The pooled client resolves the same taints to the same GIDs:
-        # both transports speak one registry.
-        assert pooled.gids_for(taints) == gids
+        # Another node's client, on a pinned window, resolves the same
+        # taints to the same GIDs: every client speaks one registry.
+        assert other.gids_for(taints) == gids
         back = aclient.taints_for(gids)
         assert [sorted(t.tag for t in b.tags) for b in back] == [
             sorted(t.tag for t in a.tags) for a in taints
@@ -171,13 +167,13 @@ class TestAsyncClientApi:
         assert aclient.gid_for(None) == 0
         assert aclient.taint_for(0) is None
         aclient.close()
-        pooled.close()
+        other.close()
 
     def test_unknown_gid_raises_and_other_lookups_survive(self, single):
         """A coalesced lookup window containing one unknown GID fails
         only that future; co-batched lookups still resolve."""
         kernel, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, coalesce_window_us=20000.0
         )
         known = client.gid_for(node.tree.taint_for_tag("known"))
@@ -208,7 +204,7 @@ class TestAsyncClientApi:
 
     def test_closed_client_rejects_requests(self, single):
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         client.gid_for(node.tree.taint_for_tag("pre"))
         client.close()
         with pytest.raises(TaintMapError, match="closed"):
@@ -217,14 +213,14 @@ class TestAsyncClientApi:
     def test_bad_max_batch_rejected(self, single):
         _, _, server, node = single
         with pytest.raises(TaintMapError, match="max_batch"):
-            AsyncTaintMapClient(node, server.address, max_batch=0)
+            TaintMapClient(node, server.address, max_batch=0)
 
     def test_first_request_latency_excludes_connect(self, single, monkeypatch):
         """``dista_taintmap_rpc_seconds`` times request-out to reply-in on
         both transports: the dial and mux upgrade of a first request are
         not RPC latency."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         dial = client.transport._connect
         dial_s = 0.3
 
@@ -250,7 +246,7 @@ class TestCoalescing:
         window, not k — the tentpole's headline property."""
         kernel, _, server, node = single
         server._service_time = 0.002  # hold the window open
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, cache_enabled=False, coalesce_window_us=5000.0
         )
         workers = 12
@@ -278,7 +274,7 @@ class TestCoalescing:
         one entry (registration is idempotent)."""
         kernel, _, server, node = single
         server._service_time = 0.002
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, cache_enabled=False, coalesce_window_us=5000.0
         )
         taint = node.tree.taint_for_tag("dup")
@@ -302,7 +298,7 @@ class TestCoalescing:
         """A window reaching max_batch flushes immediately — well before
         a deliberately huge timer could fire."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             cache_enabled=False,
@@ -320,7 +316,7 @@ class TestCoalescing:
     def test_flush_on_timer_when_under_batch_size(self, single):
         """A lone sub-batch request relies on the timer flush."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             cache_enabled=False,
@@ -338,7 +334,7 @@ class TestCoalescing:
         """window=0 degrades gracefully: a single gids_for call is still
         one round-trip (all entries enter the window atomically)."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, cache_enabled=False, coalesce_window_us=0.0
         )
         taints = [node.tree.taint_for_tag(f"z-{i}") for i in range(16)]
@@ -358,7 +354,7 @@ class TestFaultInjection:
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
         node = _node(kernel, fs)
-        client = AsyncTaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
+        client = TaintMapClient(node, (TAINT_MAP_IP, TAINT_MAP_PORT))
 
         listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
 
@@ -409,7 +405,7 @@ class TestFaultInjection:
             standbys.append(standby)
 
         node = _node(kernel, fs)
-        client = AsyncFailoverTaintMapClient(
+        client = FailoverTaintMapClient(
             node,
             [p.address for p in primaries],
             [s.address for s in standbys],
@@ -464,7 +460,6 @@ class TestCallerRunsLifecycle:
         is the server's per-connection handler), and after
         ``Cluster.shutdown()`` no entry is left unsettled and no
         connection open."""
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
         entries = []
         entry_init = aio_transport._Entry.__init__
 
@@ -505,96 +500,83 @@ class TestCallerRunsLifecycle:
 
 
 class TestCloseErrorSuppression:
-    def test_pool_reset_counts_and_survives_close_errors(self, single):
-        """Satellite 1: one endpoint whose close() raises must not abort
-        the pool reset; the error is counted in TaintMapStats."""
+    def test_connection_reset_counts_and_survives_close_errors(self, single):
+        """A broken connection whose close() raises is still dropped;
+        the error is counted in TaintMapStats and the next request
+        redials."""
         _, _, server, node = single
         client = TaintMapClient(node, server.address)
-        client.gid_for(node.tree.taint_for_tag("warm"))  # pools one endpoint
+        client.gid_for(node.tree.taint_for_tag("warm"))  # dials shard 0
+        transport = client.transport
+        conn = transport._shards[0].conn
+        real = conn.endpoint
 
         class ExplodingEndpoint:
             closed = False
 
             def close(self):
+                real.close()
                 raise OSError("close failed")
 
-        with client._pool_lock:
-            client._pools[0].insert(0, ExplodingEndpoint())
-            healthy = len(client._pools[0]) - 1
-        client._drop_pools()
+        conn.endpoint = ExplodingEndpoint()
+        assert transport._on_broken(conn, PipeClosed("reset")) == []
         assert client.stats.snapshot()["close_errors"] == 1
-        with client._pool_lock:
-            assert not client._pools[0]  # healthy endpoints released too
-        assert healthy >= 1
+        assert real.closed
+        assert transport._shards[0].conn is None
+        assert transport._conns == []
         # The client keeps working after the reset.
         assert client.gid_for(node.tree.taint_for_tag("after")) == 2
+        assert transport._shards[0].conn is not conn
         client.close()
 
 
 class TestTransportSelection:
-    def test_resolve_transport_validates(self, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
-        assert resolve_transport() == "async"  # async is the default
-        assert resolve_transport("pooled") == "pooled"
-        monkeypatch.setenv("DISTA_TAINTMAP_TRANSPORT", "pooled")
-        assert resolve_transport() == "pooled"  # env opts out
-        assert resolve_transport("async") == "async"  # explicit wins
-        with pytest.raises(InstrumentationError, match="unknown taint map transport"):
-            resolve_transport("carrier-pigeon")
+    """Every construction path builds the one multiplexed client."""
 
-    def test_env_var_selects_async_for_cluster(self, monkeypatch):
-        monkeypatch.setenv("DISTA_TAINTMAP_TRANSPORT", "async")
+    def test_resolve_transport_is_always_async(self, monkeypatch):
+        assert resolve_transport() == "async"
+        monkeypatch.setenv("DISTA_TAINTMAP_TRANSPORT", "pooled")
+        assert resolve_transport() == "async"  # no environment override
+
+    def test_transport_env_var_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("DISTA_TAINTMAP_TRANSPORT", "pooled")
         with Cluster(Mode.DISTA) as cluster:
             node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, AsyncTaintMapClient)
+            assert node.taintmap.transport.coalesce_window_us is None
             runtime_gid = node.taintmap.gid_for(node.tree.taint_for_tag("env"))
             assert runtime_gid == 1
+            assert node.taintmap.transport._shards[0].conn is not None
 
-    def test_cluster_kwarg_selects_async(self, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
-        with Cluster(
-            Mode.DISTA, taint_map_transport="async", coalesce_window_us=0.0
-        ) as cluster:
+    def test_cluster_kwarg_pins_coalesce_window(self):
+        with Cluster(Mode.DISTA, coalesce_window_us=0.0) as cluster:
             node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, AsyncTaintMapClient)
             assert node.taintmap.transport.coalesce_window_us == 0.0
 
-    def test_default_is_async(self, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
+    def test_default_is_async(self):
         with Cluster(Mode.DISTA) as cluster:
             node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, AsyncTaintMapClient)
+            assert type(node.taintmap) is TaintMapClient
             # Default: timer-free coalescing (no pinned window), deadline armed.
             assert node.taintmap.transport.coalesce_window_us is None
             assert node.taintmap.transport.request_deadline_s is not None
 
-    def test_env_var_opts_out_to_pooled(self, monkeypatch):
-        monkeypatch.setenv("DISTA_TAINTMAP_TRANSPORT", "pooled")
-        with Cluster(Mode.DISTA) as cluster:
-            node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, TaintMapClient)
-            assert not isinstance(node.taintmap, AsyncTaintMapClient)
-
-    def test_launch_extras_select_async(self, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
+    def test_launch_extras_select_async(self):
         cluster = launch_cluster(
             Mode.DISTA,
-            "taintSources=s.spec,taintSinks=k.spec,taintMapAsync=on,coalesceWindowUs=350",
+            "taintSources=s.spec,taintSinks=k.spec,coalesceWindowUs=350",
             sources_text="source:ignored#m\n",
             sinks_text="sink:ignored#m\n",
         )
-        assert cluster.agent_options["transport"] == "async"
         assert cluster.agent_options["coalesce_window_us"] == 350.0
         with cluster:
             node = cluster.add_node("n1")
-            assert isinstance(node.taintmap, AsyncTaintMapClient)
+            assert type(node.taintmap) is TaintMapClient
             assert node.taintmap.transport.coalesce_window_us == 350.0
 
-    def test_agent_reports_transport_on_runtime(self, single, monkeypatch):
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
+    def test_agent_wires_client_into_runtime(self, single):
         _, _, server, node = single
-        runtime = DisTAAgent(server.address, transport="async").attach(node)
-        assert runtime.transport == "async"
-        assert isinstance(runtime.client, AsyncTaintMapClient)
+        runtime = DisTAAgent(server.address).attach(node)
+        assert node.taintmap is runtime.client
+        assert isinstance(runtime.client, TaintMapClient)
         assert runtime.resolver.gids_for == runtime.client.gids_for
         DisTAAgent(server.address).detach(node)

@@ -10,7 +10,7 @@ route, plus the two behavioural contracts the benchmark leans on:
   taint results are identical to plain tracking (and a controller with
   astronomical headroom never actuates);
 * **sampling is deterministic** — the same workload admits the same
-  flow set under the pooled and async Taint Map transports;
+  flow set whether Taint Map requests coalesce or go out one by one;
 * **a flipped gate strips labels end to end** — data sent through a
   gated method arrives untainted (the receiver rides the zero-taint
   fast path), while the bytes themselves are untouched.
@@ -128,7 +128,7 @@ FILES = 12
 PAYLOAD = 8
 
 
-def run_transfer(transport="async", sample_every=None, overhead_budget=None):
+def run_transfer(coalesce_window_us=None, sample_every=None, overhead_budget=None):
     """A deterministic mini workload: n1 reads FILES files (each read a
     SIM source), streams each over TCP to n2, which logs it (the sink).
     Returns what the taint layer saw."""
@@ -139,8 +139,8 @@ def run_transfer(transport="async", sample_every=None, overhead_budget=None):
         kwargs["overhead_budget"] = overhead_budget
     cluster = Cluster(
         Mode.DISTA,
-        name=f"budget-transfer-{transport}",
-        taint_map_transport=transport,
+        name="budget-transfer",
+        coalesce_window_us=coalesce_window_us,
         **kwargs,
     )
     cluster.configure_sources([FILE_READ_DESCRIPTOR])
@@ -182,18 +182,18 @@ def run_transfer(transport="async", sample_every=None, overhead_budget=None):
 
 
 class TestSamplingDeterminism:
-    def test_identical_flow_set_on_pooled_and_async_transports(self):
-        pooled = run_transfer(transport="pooled", sample_every=3)
-        async_ = run_transfer(transport="async", sample_every=3)
+    def test_identical_flow_set_under_both_coalescing_policies(self):
+        coalesced = run_transfer(sample_every=3)
+        one_by_one = run_transfer(coalesce_window_us=0, sample_every=3)
         # Admission is counted at source registration, independent of
         # transport timing: the two runs track the identical flows and
         # generate the identical tags.
-        assert pooled["tainted_indices"] == [0, 3, 6, 9]
-        assert async_["tainted_indices"] == pooled["tainted_indices"]
-        assert async_["generated_tags"] == pooled["generated_tags"]
-        assert async_["observed_tags"] == pooled["observed_tags"]
-        assert pooled["admitted"] == async_["admitted"] == 4
-        assert pooled["sampled_out"] == async_["sampled_out"] == 8
+        assert coalesced["tainted_indices"] == [0, 3, 6, 9]
+        assert one_by_one["tainted_indices"] == coalesced["tainted_indices"]
+        assert one_by_one["generated_tags"] == coalesced["generated_tags"]
+        assert one_by_one["observed_tags"] == coalesced["observed_tags"]
+        assert coalesced["admitted"] == one_by_one["admitted"] == 4
+        assert coalesced["sampled_out"] == one_by_one["sampled_out"] == 8
 
     def test_sampled_out_flows_reach_the_sink_untainted(self):
         result = run_transfer(sample_every=4)

@@ -8,7 +8,6 @@ import zlib
 import pytest
 
 from repro.core import durability
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.durability import (
     WAL_ENTRY,
     WAL_RING,
@@ -458,9 +457,13 @@ class TestGidExhaustion:
         service.stop()
 
     def test_pooled_client_surfaces_structured_error(self):
+        # The per-request leg: coalescing pinned off, the cache off, so
+        # the exhausted status comes straight back on a lone frame.
         kernel, fs, service, node = _boot(name="exhaust-pooled")
         self._exhaust(service.servers[0])
-        client = TaintMapClient(node, service.addresses, cache_enabled=False)
+        client = TaintMapClient(
+            node, service.addresses, cache_enabled=False, coalesce_window_us=0
+        )
         with pytest.raises(TaintMapExhaustedError):
             client.gid_for(node.tree.taint_for_tag("over"))
         # Not a ConnectionError: failover must never rotate on it.
@@ -471,7 +474,7 @@ class TestGidExhaustion:
     def test_async_client_does_not_burn_a_failover(self):
         kernel, fs, service, node = _boot(name="exhaust-async")
         self._exhaust(service.servers[0])
-        client = AsyncTaintMapClient(node, service.addresses)
+        client = TaintMapClient(node, service.addresses)
         with pytest.raises(TaintMapExhaustedError):
             client.gid_for(node.tree.taint_for_tag("over-async"))
         # The replica was never rotated: the shard is healthy, it just

@@ -8,14 +8,15 @@ import threading
 
 import pytest
 
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.elastic import RingCoordinator
 from repro.core.ha import FailoverTaintMapClient
 from repro.core.taintmap import (
     OP_HANDOFF_BEGIN,
     OP_HANDOFF_CHUNK,
     OP_HANDOFF_END,
+    OP_MUX_HELLO,
     OP_REGISTER,
+    OP_REGISTER_MANY,
     OP_RING_UPDATE,
     STATUS_BAD_REQUEST,
     STATUS_OK,
@@ -220,8 +221,8 @@ class TestControlOpsOnTheWire:
 
 
 class TestLiveScaleOut:
-    """Tentpole correctness on the pooled transport: zero failed lookups,
-    zero renumbered GIDs, lazy client re-routing."""
+    """Tentpole correctness: zero failed lookups, zero renumbered GIDs,
+    lazy client re-routing."""
 
     def test_scale_1_to_4_preserves_every_gid(self):
         kernel, fs, service, node = _boot()
@@ -310,7 +311,7 @@ class TestEpochFlipRaceAsync:
 
     def test_concurrent_registrations_during_scale_out(self):
         kernel, fs, service, node = _boot(name="elastic-race")
-        client = AsyncTaintMapClient(node, service.addresses)
+        client = TaintMapClient(node, service.addresses)
         pre = [node.tree.taint_for_tag(f"pre-{i}") for i in range(50)]
         pre_gids = client.gids_for(pre)
 
@@ -444,6 +445,10 @@ class TestNeverScaledByteIdentity:
     is invisible until used."""
 
     def test_client_register_frame_is_seed_identical(self):
+        """The client's register request, once the mux upgrade's 4-byte
+        correlation id is stripped, is exactly the sync protocol's frame:
+        a lone miss travels as a one-entry ``OP_REGISTER_MANY`` whose
+        entry is the seed ``OP_REGISTER`` payload byte for byte."""
         kernel = SimKernel("diff")
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
@@ -453,14 +458,23 @@ class TestNeverScaledByteIdentity:
         listener = kernel.listen(TAINT_MAP_IP, TAINT_MAP_PORT)
         captured = []
 
-        def fake_server():
-            endpoint = listener.accept(timeout=10)
-            head = endpoint.recv(1)
+        def read_frame(endpoint):
+            head = _recv_exact(endpoint, 1)
             (length,) = struct.unpack(">I", _recv_exact(endpoint, 4))
             payload = _recv_exact(endpoint, length) if length else b""
-            captured.append(head + struct.pack(">I", length) + payload)
-            # The seed server's golden reply: STATUS_OK, len 4, GID 1.
-            endpoint.send_all(b"\x00" + struct.pack(">I", 4) + struct.pack(">I", 1))
+            return head + struct.pack(">I", length) + payload
+
+        def fake_server():
+            endpoint = listener.accept(timeout=10)
+            assert read_frame(endpoint) == bytes([OP_MUX_HELLO]) + struct.pack(">I", 0)
+            endpoint.send_all(b"\x00" + struct.pack(">I", 0))
+            corr = _recv_exact(endpoint, 4)
+            captured.append(read_frame(endpoint))
+            # The seed server's golden reply (STATUS_OK, len 4, GID 1)
+            # behind the request's correlation id.
+            endpoint.send_all(
+                corr + b"\x00" + struct.pack(">I", 4) + struct.pack(">I", 1)
+            )
             endpoint.close()
             listener.close()
 
@@ -473,9 +487,11 @@ class TestNeverScaledByteIdentity:
         serialized = serialize_tags(taint.tags)
         assert client.gid_for(taint) == 1
         thread.join(10)
-        expected = (
+        seed_frame = (
             bytes([OP_REGISTER]) + struct.pack(">I", len(serialized)) + serialized
         )
+        payload = struct.pack(">H", 1) + seed_frame[1:]
+        expected = bytes([OP_REGISTER_MANY]) + struct.pack(">I", len(payload)) + payload
         assert captured == [expected]
         client.close()
 

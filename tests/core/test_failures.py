@@ -34,8 +34,8 @@ class TestTaintMapFailures:
         node = SimNode("n", kernel.register_node("10.0.0.1"), 1, kernel, fs, Mode.DISTA)
         client = TaintMapClient(node, server.address)
         g1 = client.gid_for(node.tree.taint_for_tag("a"))
-        # Kill the transport out from under the client.
-        client._endpoint.close()
+        # Kill shard 0's mux connection out from under the client.
+        client.transport._shards[0].conn.endpoint.close()
         g2 = client.gid_for(node.tree.taint_for_tag("b"))
         assert g1 != g2
         server.stop()
@@ -54,7 +54,6 @@ class TestTaintMapFailures:
         gid_before = client.gid_for(taint)
         server.stop()
         server2 = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT).start()
-        client._endpoint = None  # force reconnect
         gid_after = client.gid_for(taint)
         assert gid_before == gid_after == 1  # fresh numbering, same first slot
         server2.stop()

@@ -1,6 +1,7 @@
 """Tests for the replicated Taint Map and failover client (paper §VI)."""
 
 import struct
+import threading
 
 import pytest
 
@@ -103,6 +104,40 @@ class TestReplication:
         standby_client = TaintMapClient(node, STANDBY)
         g2 = standby_client.gid_for(node.tree.taint_for_tag("after"))
         assert g2 > g1
+
+
+class TestStandbyStreamLifecycle:
+    """The primary's OP_SYNC connection to the standby is closed on
+    stop() and on a failed replication, so no standby thread keeps
+    serving a dead primary."""
+
+    def test_stop_closes_the_standby_stream(self, ha_setup):
+        kernel, node, primary, standby = ha_setup
+        before = set(threading.enumerate())
+        client = TaintMapClient(node, PRIMARY)
+        client.gid_for(node.tree.taint_for_tag("synced"))
+        assert primary.replicated == 1
+        endpoint = primary._standby_endpoint
+        started = set(threading.enumerate()) - before
+        assert started  # the primary's client handler and the standby's sync handler
+        client.close()
+        primary.stop()
+        assert endpoint.closed
+        for thread in started:
+            thread.join(5)
+        assert not [thread.name for thread in started if thread.is_alive()]
+
+    def test_failed_replication_closes_the_standby_stream(self, ha_setup):
+        kernel, node, primary, standby = ha_setup
+        client = TaintMapClient(node, PRIMARY)
+        client.gid_for(node.tree.taint_for_tag("first"))
+        endpoint = primary._standby_endpoint
+        standby.stop()
+        assert client.gid_for(node.tree.taint_for_tag("second")) > 0
+        assert primary.replication_failures == 1
+        assert endpoint.closed
+        assert primary._standby_endpoint is None
+        client.close()
 
 
 class TestFailoverClient:

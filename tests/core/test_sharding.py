@@ -1,6 +1,6 @@
 """Tests for the sharded Taint Map: GID namespace partitioning,
-consistent-hash routing, the per-shard connection-pool client, bounded
-caches, and poisoned-connection recovery (ISSUE 2)."""
+consistent-hash routing, the per-shard client, bounded caches, and
+poisoned- and stale-connection recovery."""
 
 import struct
 import threading
@@ -20,6 +20,8 @@ from repro.core.taintmap import (
     ShardRing,
     ShardRouter,
     TaintMapClient,
+    TaintMapStats,
+    _LruCache,
     _pack_batch_register,
     _recv_exact,
     gid_shard,
@@ -283,11 +285,13 @@ class TestConcurrentSharding:
         # Distinct taints ⇒ globally unique GIDs, across all shards.
         assert len(set(gids)) == total
         assert service.global_taint_count() == total
-        # Counters are race-free: one request per fresh taint, and the
+        # Counters are race-free: every fresh taint travels exactly once
+        # (concurrent misses may share a coalesced request), and the
         # per-shard server counters sum to exactly the client's sends.
-        assert c1.requests_sent == total
         snapshot = service.stats_snapshot()
-        assert snapshot["register_requests"] == total
+        assert 0 < c1.requests_sent <= total
+        assert snapshot["register_requests"] == c1.requests_sent
+        assert snapshot["register_entries"] == total
         assert snapshot["global_taints"] == total
         client_stats = c1.stats.snapshot()
         assert client_stats["cache_misses"] == total
@@ -338,6 +342,46 @@ class TestBoundedCaches:
         assert client.stats.snapshot()["cache_evictions"] == 0
         service.stop()
 
+    def test_not_full_keeps_every_entry(self):
+        cache = _LruCache(8, TaintMapStats())
+        for i in range(8):
+            cache.put(f"k{i}", i)
+        assert all(cache.get(f"k{i}") == i for i in range(8))
+        assert len(cache) == 8
+
+    def test_read_and_update_refresh_recency(self):
+        stats = TaintMapStats()
+        cache = _LruCache(2, stats)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get("a") == 1  # a is now the most recent
+        cache.put("c", 3)  # evicts b, the least recently used
+        assert cache.get("b") is None
+        cache.put("a", 10)  # an update, not an insert: nothing evicted
+        cache.setdefault("a", 99)  # secondary fills never overwrite
+        cache.put("d", 4)  # evicts c
+        assert cache.get("c") is None
+        assert (cache.get("a"), cache.get("d")) == (10, 4)
+        assert stats.snapshot()["cache_evictions"] == 2
+
+    def test_unbounded_lookup_is_the_lock_free_dict_get(self):
+        stats = TaintMapStats()
+        unbounded = _LruCache(None, stats)
+        assert unbounded.lookup == unbounded._entries.get
+        bounded = _LruCache(4, stats)
+        assert bounded.lookup == bounded.get
+
+    def test_bounded_client_round_trips_past_capacity(self):
+        service, node, client = self._client(capacity=32)
+        taints = [node.tree.taint_for_tag(f"t{i}") for i in range(48)]
+        gids = [client.gid_for(t) for t in taints]
+        assert len(set(gids)) == 48
+        assert len(client._gid_cache) == len(client._taint_cache) == 32
+        # The evicted first GID resolves again through the map.
+        assert {t.tag for t in client.taint_for(gids[0]).tags} == {"t0"}
+        client.close()
+        service.stop()
+
     def test_bad_capacity_rejected(self):
         kernel = SimKernel("lru-bad")
         kernel.register_node(TAINT_MAP_IP)
@@ -373,8 +417,9 @@ class TestPoisonedConnectionReset:
         with pytest.raises(PipeClosed):
             client.gid_for(node.tree.taint_for_tag("victim"))
         evil_thread.join(10)  # the address must be free before rebinding
-        # The poisoned connection was closed and discarded, not pooled.
-        assert client._endpoint is None
+        # The poisoned connection was closed and discarded.
+        assert client.transport._shards[0].conn is None
+        assert client.transport._conns == []
 
         # A real server takes over the address; the client recovers with
         # no framing desync from the half-read response.
@@ -387,9 +432,9 @@ class TestPoisonedConnectionReset:
         assert {t.tag for t in resolved.tags} == {"victim"}
         service.stop()
 
-    def test_stale_pooled_connection_retries_fresh(self):
-        """A pooled connection that went stale while idle (server
-        restart) is replaced transparently — no manual reset needed."""
+    def test_stale_connection_retries_fresh(self):
+        """A connection that went stale while idle (server restart) is
+        replaced transparently — no manual reset needed."""
         kernel = SimKernel("stale")
         kernel.register_node(TAINT_MAP_IP)
         fs = SimFileSystem()
@@ -403,8 +448,8 @@ class TestPoisonedConnectionReset:
         service2 = ShardedTaintMapService(
             kernel, TAINT_MAP_IP, TAINT_MAP_PORT, 1
         ).start()
-        # The pool still holds the dead connection; the request retries
-        # on a fresh one instead of failing or desyncing.
+        # The client still holds the dead connection; the request
+        # redials once instead of failing or desyncing.
         gid = client.gid_for(node.tree.taint_for_tag("second"))
         assert gid == 1
         service2.stop()

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.taintmap import (
     TaintMapClient,
     TaintMapServer,
@@ -195,12 +194,9 @@ class TestLockFreeCacheHits:
     """The unbounded caches answer hits with no lock; the hit and miss
     counters are added once per call and must stay exact."""
 
-    @pytest.mark.parametrize("client_type", [TaintMapClient, AsyncTaintMapClient])
-    def test_concurrent_hits_and_first_misses_stay_consistent(
-        self, service, client_type
-    ):
+    def test_concurrent_hits_and_first_misses_stay_consistent(self, service):
         server, n1, n2, _, c2 = service
-        client = client_type(n1, server.address)
+        client = TaintMapClient(n1, server.address)
         warm = [n1.tree.taint_for_tag(f"warm{i}") for i in range(16)]
         warm_gids = client.gids_for(warm)
         # GIDs this client has never seen: its taint cache misses on them.

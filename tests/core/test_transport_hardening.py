@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.aio_transport import AsyncTaintMapClient, _REGISTER, _Request
+from repro.core.aio_transport import _REGISTER, _Request
 from repro.core.taintmap import (
     OP_REGISTER,
     PROTOCOL_MAX_BATCH,
@@ -97,45 +97,47 @@ class TestProtocolBatchLimit:
 
     def test_async_max_batch_clamped_to_protocol_limit(self, single):
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, max_batch=10 * PROTOCOL_MAX_BATCH
         )
         assert client.transport.max_batch == PROTOCOL_MAX_BATCH
         client.close()
 
-    def test_oversized_batch_round_trips_on_both_transports(self, single):
-        """A single >65535-run message registers and resolves on both
-        transports (multiple byte-identical frames on the wire)."""
+    def test_oversized_batch_round_trips_at_any_max_batch(self, single):
+        """A single >65535-run message registers and resolves whether the
+        client chunks it (default ``max_batch``) or the window must
+        (``max_batch`` above the wire limit): multiple byte-identical
+        frames on the wire either way."""
         _, _, server, node = single
         count = PROTOCOL_MAX_BATCH + 17
         taints = [node.tree.taint_for_tag(f"ovr{i}") for i in range(count)]
 
-        pooled = TaintMapClient(node, server.address, cache_enabled=False)
+        default = TaintMapClient(node, server.address, cache_enabled=False)
         # max_batch above the wire limit: the window itself must chunk.
-        aio = AsyncTaintMapClient(
+        wide = TaintMapClient(
             node,
             server.address,
             cache_enabled=False,
             max_batch=10 * PROTOCOL_MAX_BATCH,
         )
         try:
-            pooled_gids = pooled.gids_for(taints)
-            assert len(pooled_gids) == count
-            assert len(set(pooled_gids)) == count
-            assert all(gid > 0 for gid in pooled_gids)
+            default_gids = default.gids_for(taints)
+            assert len(default_gids) == count
+            assert len(set(default_gids)) == count
+            assert all(gid > 0 for gid in default_gids)
 
-            # Registration is idempotent: the async client sees the
+            # Registration is idempotent: the second client sees the
             # same map, so the same taints yield the same GIDs.
-            async_gids = aio.gids_for(taints)
-            assert async_gids == pooled_gids
+            wide_gids = wide.gids_for(taints)
+            assert wide_gids == default_gids
 
-            resolved = aio.taints_for(async_gids)
+            resolved = wide.taints_for(wide_gids)
             assert len(resolved) == count
             for index in (0, 511, PROTOCOL_MAX_BATCH - 1, PROTOCOL_MAX_BATCH, count - 1):
                 assert resolved[index].tags == taints[index].tags
         finally:
-            pooled.close()
-            aio.close()
+            default.close()
+            wide.close()
 
 
 class TestShutdownWithInflightFlush:
@@ -152,7 +154,7 @@ class TestShutdownWithInflightFlush:
         )
         server.start()
         node = _node(kernel, fs)
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, coalesce_window_us=0.0
         )
         errors = []
@@ -190,7 +192,7 @@ class TestShutdownWithInflightFlush:
         server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, service_time=3.0)
         server.start()
         node = _node(kernel, SimFileSystem())
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         dial = client.transport._connect
         dialing = threading.Event()
         endpoints = []
@@ -243,7 +245,7 @@ class TestRequestDeadline:
 
         thread = threading.Thread(target=stalled_server, daemon=True)
         thread.start()
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, (TAINT_MAP_IP, TAINT_MAP_PORT), request_deadline_s=0.3
         )
         started = time.monotonic()
@@ -269,7 +271,7 @@ class TestRequestDeadline:
             target=lambda: accepted.append(listener.accept(timeout=10)), daemon=True
         )
         thread.start()
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, (TAINT_MAP_IP, TAINT_MAP_PORT), request_deadline_s=0.3
         )
         started = time.monotonic()
@@ -293,7 +295,7 @@ class TestRequestDeadline:
         node = _node(kernel, SimFileSystem())
         # The window flushes at t=1.0 and the reply lands at about t=1.5:
         # after the first caller's deadline (1.2), before the second's (2.0).
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node, server.address, coalesce_window_us=1_000_000, request_deadline_s=1.2
         )
         taint = node.tree.taint_for_tag("shared")
@@ -320,7 +322,7 @@ class TestRequestDeadline:
 
     def test_deadline_disabled_with_nonpositive_value(self, single):
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address, request_deadline_s=0)
+        client = TaintMapClient(node, server.address, request_deadline_s=0)
         assert client.transport.request_deadline_s is None
         assert client.gid_for(node.tree.taint_for_tag("nodl")) > 0
         client.close()
@@ -331,7 +333,7 @@ class TestBrokenConnectionErrors:
         """Pre-fix, a broken connection re-raised one cached exception
         instance across unrelated callers."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("pre")) > 0
         transport = client.transport
         connection = transport._shards[0].conn
@@ -367,7 +369,7 @@ class TestCorrelationIdWrap:
         """The unbounded corr counter must wrap at 32 bits instead of
         overflowing the ``>I`` wire field."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         gids = [client.gid_for(node.tree.taint_for_tag("wrap0"))]
         connection = client.transport._shards[0].conn
         # Jump the counter to the edge of the 4-byte field; the next
@@ -385,7 +387,7 @@ class TestCorrelationIdWrap:
         be skipped at allocation — overwriting the pending future would
         leave its caller hanging until the deadline."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address)
+        client = TaintMapClient(node, server.address)
         assert client.gid_for(node.tree.taint_for_tag("collide0")) > 0
         transport = client.transport
         connection = transport._shards[0].conn
@@ -412,7 +414,7 @@ class TestBackpressure:
 
     def test_shed_policy_rejects_past_high_water_mark(self, single, pool):
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             coalesce_window_us=10_000_000,  # park entries: no timer flush
@@ -441,7 +443,7 @@ class TestBackpressure:
 
     def test_block_policy_flushes_and_waits_for_drain(self, single, pool):
         _, _, server, node = single
-        client = AsyncTaintMapClient(
+        client = TaintMapClient(
             node,
             server.address,
             coalesce_window_us=10_000_000,
@@ -471,7 +473,7 @@ class TestTimerFreeCoalescing:
         timer wait per request.  A pinned window still waits out its
         static timer (the control)."""
         _, _, server, node = single
-        client = AsyncTaintMapClient(node, server.address, cache_enabled=False)
+        client = TaintMapClient(node, server.address, cache_enabled=False)
         reasons = client.transport._flush_reason
 
         def flushes():
@@ -484,7 +486,7 @@ class TestTimerFreeCoalescing:
         assert client.requests_sent == 16
         client.close()
 
-        pinned = AsyncTaintMapClient(
+        pinned = TaintMapClient(
             node, server.address, cache_enabled=False, coalesce_window_us=0.0
         )
         pinned.gid_for(node.tree.taint_for_tag("pinned"))
@@ -499,7 +501,7 @@ class TestTimerFreeCoalescing:
         server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, service_time=0.5)
         server.start()
         node = _node(kernel, SimFileSystem())
-        client = AsyncTaintMapClient(node, server.address, cache_enabled=False)
+        client = TaintMapClient(node, server.address, cache_enabled=False)
         transport = client.transport
         workers = 12
         gids = [None] * (workers + 1)
@@ -533,7 +535,7 @@ class TestTimerFreeCoalescing:
         server = TaintMapServer(kernel, TAINT_MAP_IP, TAINT_MAP_PORT, service_time=3.0)
         server.start()
         node = _node(kernel, SimFileSystem())
-        client = AsyncTaintMapClient(node, server.address, cache_enabled=False)
+        client = TaintMapClient(node, server.address, cache_enabled=False)
         transport = client.transport
         errors = []
 
@@ -569,13 +571,12 @@ class TestLaunchAndEnvKnobs:
 
         assert parse_switch("on") and parse_switch("TRUE") and parse_switch("1")
         assert not parse_switch("off") and not parse_switch("no")
-        with pytest.raises(ValueError, match="taintMapAsync"):
-            parse_switch("maybe", "taintMapAsync")
+        with pytest.raises(ValueError, match="taintMapDurable"):
+            parse_switch("maybe", "taintMapDurable")
 
-    def test_launch_extras_configure_hardening_knobs(self, monkeypatch):
+    def test_launch_extras_configure_hardening_knobs(self):
         from repro.core.launch import launch_cluster
 
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
         cluster = launch_cluster(
             Mode.DISTA,
             "taintSources=s.spec,taintSinks=k.spec,"
@@ -594,26 +595,10 @@ class TestLaunchAndEnvKnobs:
             assert transport.max_pending == 64
             assert transport.backpressure == "shed"
 
-    def test_launch_extra_opts_out_to_pooled(self, monkeypatch):
-        from repro.core.launch import launch_cluster
-
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
-        cluster = launch_cluster(
-            Mode.DISTA,
-            "taintSources=s.spec,taintSinks=k.spec,taintMapAsync=off",
-            sources_text="source:ignored#m\n",
-            sinks_text="sink:ignored#m\n",
-        )
-        assert cluster.agent_options["transport"] == "pooled"
-        with cluster:
-            node = cluster.add_node("n1")
-            assert not isinstance(node.taintmap, AsyncTaintMapClient)
-
     def test_env_knobs_configure_transport(self, single, monkeypatch):
         from repro.core.agent import DisTAAgent
 
         _, _, server, node = single
-        monkeypatch.delenv("DISTA_TAINTMAP_TRANSPORT", raising=False)
         monkeypatch.setenv("DISTA_COALESCE_WINDOW_US", "450")
         monkeypatch.setenv("DISTA_TAINTMAP_DEADLINE_S", "0")
         runtime = DisTAAgent(server.address).attach(node)

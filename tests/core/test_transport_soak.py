@@ -20,11 +20,11 @@ import time
 
 import pytest
 
-from repro.core.aio_transport import AsyncTaintMapClient
 from repro.core.taintmap import (
     OP_LOOKUP_MANY,
     OP_REGISTER_MANY,
     ShardedTaintMapService,
+    TaintMapClient,
     _pack_batch_lookup,
     _pack_batch_register,
     _split_batch_lookup_response,
@@ -73,7 +73,7 @@ class _Fleet:
         ]
         # Caches off: every call reaches the transport.
         self.clients = [
-            AsyncTaintMapClient(
+            TaintMapClient(
                 node, self.service.addresses, cache_enabled=False,
                 request_deadline_s=DEADLINE_S,
             )

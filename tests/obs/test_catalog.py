@@ -1,6 +1,6 @@
 """The metric catalog in ``docs/OBSERVABILITY.md`` against what the code
-really emits: one tainted SIM workload in DISTA mode under each Taint Map
-transport must emit only catalogued ``dista_*`` families, and every
+really emits: one tainted SIM workload in DISTA mode under each coalescing
+policy must emit only catalogued ``dista_*`` families, and every
 catalogued family it does not emit must be a known feature-gated one."""
 
 import re
@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.agent import COALESCE_WINDOW_ENV
 from repro.runtime.modes import Mode
 from repro.systems.activemq import workload
 from repro.systems.common import SIM
+from tests.obs import COALESCE_WINDOWS
 
 CATALOG = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 
@@ -41,9 +43,13 @@ def test_feature_gated_families_are_catalogued():
     assert FEATURE_GATED <= _catalog_rows()
 
 
-@pytest.mark.parametrize("transport", ["async", "pooled"])
-def test_emitted_families_match_the_catalog(transport, monkeypatch):
-    monkeypatch.setenv("DISTA_TAINTMAP_TRANSPORT", transport)
+@pytest.mark.parametrize("policy", COALESCE_WINDOWS)
+def test_emitted_families_match_the_catalog(policy, monkeypatch):
+    window = COALESCE_WINDOWS[policy]
+    if window is None:
+        monkeypatch.delenv(COALESCE_WINDOW_ENV, raising=False)
+    else:
+        monkeypatch.setenv(COALESCE_WINDOW_ENV, str(window))
     result = workload.run_workload(Mode.DISTA, SIM, source_fraction=1.0)
     assert result.global_taints > 0  # the tainted path really ran
     emitted = {name for name in result.telemetry if name.startswith("dista_")}

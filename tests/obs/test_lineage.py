@@ -1,7 +1,7 @@
 """Flow lineage: cross-node provenance trees, store semantics, exports.
 
 The golden test drives the acceptance scenario end to end under both
-Taint Map transports: a source on n1, two TCP hops (n1 -> n2 -> n3), a
+coalescing policies: a source on n1, two TCP hops (n1 -> n2 -> n3), a
 sink on n3 — and asserts the store reconstructs it as ONE tree with
 correct hop ordering, byte counts and disposition labels, while the
 wire stays byte-identical with lineage on and off.
@@ -29,21 +29,22 @@ from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.taint.tags import TaintTag
 from repro.taint.values import TBytes
-
-TRANSPORTS = ("pooled", "async")
+from tests.obs import COALESCE_WINDOWS
 
 SOURCE_DESCRIPTOR = "app.ConfigReader#read"
 SINK_DESCRIPTOR = "app.AuditLog#write"
 PAYLOAD = b"pii-record-0001"
 
 
-def run_relay(transport: str, lineage: bool):
+def run_relay(policy: str, lineage: bool):
     """The golden scenario: source on n1, n1->n2->n3 over TCP, sink on n3.
 
     Returns ``(cluster_wire_bytes, received_payloads, store)`` — the
     store is ``None`` when lineage is off.
     """
-    cluster = Cluster(Mode.DISTA, taint_map_transport=transport, lineage=lineage)
+    cluster = Cluster(
+        Mode.DISTA, coalesce_window_us=COALESCE_WINDOWS[policy], lineage=lineage
+    )
     n1 = cluster.add_node("n1")
     n2 = cluster.add_node("n2")
     n3 = cluster.add_node("n3")
@@ -71,7 +72,7 @@ def run_relay(transport: str, lineage: bool):
     return wire, received, cluster.lineage_store
 
 
-@pytest.fixture(params=TRANSPORTS)
+@pytest.fixture(params=COALESCE_WINDOWS)
 def relay_store(request):
     _, received, store = run_relay(request.param, lineage=True)
     assert received == (PAYLOAD, PAYLOAD)
@@ -159,13 +160,13 @@ class TestGoldenThreeHopFlow:
 
 
 class TestWireIdentity:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_lineage_adds_zero_wire_bytes(self, transport):
+    @pytest.mark.parametrize("policy", COALESCE_WINDOWS)
+    def test_lineage_adds_zero_wire_bytes(self, policy):
         """Lineage context rides existing span ids — the kernel must
         carry the identical byte total with lineage on and off, and the
         delivered payloads must match byte for byte."""
-        wire_off, received_off, store = run_relay(transport, lineage=False)
-        wire_on, received_on, _ = run_relay(transport, lineage=True)
+        wire_off, received_off, store = run_relay(policy, lineage=False)
+        wire_on, received_on, _ = run_relay(policy, lineage=True)
         assert store is None
         assert received_off == received_on == (PAYLOAD, PAYLOAD)
         assert wire_off == wire_on

@@ -1,4 +1,5 @@
-"""In-simulation scraping of the /metrics endpoint, both transports."""
+"""In-simulation scraping of the /metrics endpoint, under both
+coalescing policies."""
 
 import json
 
@@ -9,12 +10,9 @@ from repro.jre.http import http_get
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.taint.values import TBytes
+from tests.obs import COALESCE_WINDOWS
 
-TRANSPORTS = ("pooled", "async")
-
-#: Families the acceptance criteria require on /metrics under BOTH
-#: transports (the coalesce/inflight families are pre-declared zero-
-#: valued under the pooled transport so the scrape shape is stable).
+#: Families the acceptance criteria require on /metrics.
 REQUIRED_FAMILIES = (
     "dista_taintmap_rpc_seconds",
     "dista_coalesce_flush_total",
@@ -25,9 +23,9 @@ REQUIRED_FAMILIES = (
 )
 
 
-@pytest.fixture(params=TRANSPORTS)
+@pytest.fixture(params=COALESCE_WINDOWS)
 def scraped(request):
-    cluster = Cluster(Mode.DISTA, taint_map_transport=request.param)
+    cluster = Cluster(Mode.DISTA, coalesce_window_us=COALESCE_WINDOWS[request.param])
     n1 = cluster.add_node("n1")
     n2 = cluster.add_node("n2")
     with cluster:
@@ -85,8 +83,10 @@ class TestMetricsEndpoint:
         assert response.status == 404
 
     def test_transport_label_matches_active_transport(self, scraped):
+        from repro.core.agent import resolve_transport
+
         cluster, n2, metrics = scraped
-        transport = cluster.agent_options["transport"]
+        transport = resolve_transport()
         snap = cluster.telemetry_snapshot()
         entry = snap["dista_taintmap_requests_total"]
         transports = {s["labels"]["transport"] for s in entry["samples"]}

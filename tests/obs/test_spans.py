@@ -1,4 +1,5 @@
-"""Causal span correlation across a two-node cluster, both transports."""
+"""Causal span correlation across a two-node cluster, under both
+coalescing policies."""
 
 import pytest
 
@@ -8,17 +9,16 @@ from repro.report import render_crossing_timeline
 from repro.runtime.cluster import Cluster
 from repro.runtime.modes import Mode
 from repro.taint.values import TBytes
+from tests.obs import COALESCE_WINDOWS
 
-TRANSPORTS = ("pooled", "async")
 
-
-@pytest.fixture(params=TRANSPORTS)
+@pytest.fixture(params=COALESCE_WINDOWS)
 def traced_pair(request):
     trace = CrossingTrace()
     cluster = Cluster(
         Mode.DISTA,
         agent_options={"trace": trace},
-        taint_map_transport=request.param,
+        coalesce_window_us=COALESCE_WINDOWS[request.param],
     )
     n1 = cluster.add_node("n1")
     n2 = cluster.add_node("n2")
