@@ -34,15 +34,6 @@ COALESCE_WINDOW_ENV = "DISTA_COALESCE_WINDOW_US"
 #: ``0`` disables the deadline.
 DEADLINE_ENV = "DISTA_TAINTMAP_DEADLINE_S"
 
-#: Environment override for the overhead budget (a ratio over baseline,
-#: e.g. ``1.05`` = tracking surcharge ≤5%).  ``0``, a negative value or
-#: ``unlimited``/``off``/``none`` disable budgeting entirely — the
-#: bit-identical full-tracking behaviour.
-OVERHEAD_BUDGET_ENV = "DISTA_OVERHEAD_BUDGET"
-
-#: Spellings of "no budget" accepted by the env/extras surface.
-_UNLIMITED_BUDGET = ("unlimited", "off", "none", "")
-
 
 def resolve_transport() -> str:
     """Name of the Taint Map transport: always ``async``, the one
@@ -68,34 +59,6 @@ def resolve_request_deadline(deadline_s: Optional[float] = None) -> Optional[flo
         return float(deadline_s)
     from_env = os.environ.get(DEADLINE_ENV)
     return float(from_env) if from_env else None
-
-
-def parse_overhead_budget(value) -> Optional[float]:
-    """One budget spelling → ``None`` (unlimited) or a ratio ≥ 1.0."""
-    if value is None:
-        return None
-    if isinstance(value, str):
-        if value.strip().lower() in _UNLIMITED_BUDGET:
-            return None
-        value = float(value)
-    budget = float(value)
-    if budget <= 0.0:
-        return None
-    if budget < 1.0:
-        raise InstrumentationError(
-            f"overhead budget is a ratio over baseline and must be >= 1.0 "
-            f"(or 0/'unlimited' to disable), got {budget}"
-        )
-    return budget
-
-
-def resolve_overhead_budget(budget=None) -> Optional[float]:
-    """Effective overhead budget: explicit argument, else the
-    ``DISTA_OVERHEAD_BUDGET`` environment variable, else ``None``
-    (unlimited — no controller, bit-identical full tracking)."""
-    if budget is not None:
-        return parse_overhead_budget(budget)
-    return parse_overhead_budget(os.environ.get(OVERHEAD_BUDGET_ENV))
 
 
 @dataclass(frozen=True)
@@ -203,9 +166,7 @@ class DisTAAgent:
         request_deadline_s: Optional[float] = None,
         max_pending: Optional[int] = None,
         backpressure: Optional[str] = None,
-        overhead_budget=None,
         sample_every: Optional[int] = None,
-        budget_warm_start=None,
         lineage=None,
     ):
         #: One ``(ip, port)`` or a sequence of per-shard addresses —
@@ -239,23 +200,10 @@ class DisTAAgent:
         self.max_pending = max_pending
         #: Backpressure policy past the mark: "block" or "shed".
         self.backpressure = backpressure
-        #: Budgeted tracking: hard overhead ceiling as a ratio over
-        #: baseline (e.g. 1.05), or ``None`` to defer to
-        #: ``DISTA_OVERHEAD_BUDGET`` (unlimited when that is unset too
-        #: — no controller, bit-identical full tracking).
-        self.overhead_budget = overhead_budget
         #: Flow-sampling period: track every k-th flow admitted at
-        #: source registration.  With a budget set this is the
-        #: controller's floor (maximum coverage); without one it is a
-        #: static knob.  ``None`` leaves the registry's value alone.
+        #: source registration.  ``None`` leaves the registry's value
+        #: alone.
         self.sample_every = sample_every
-        #: Warm start for the budget controller: a snapshot dict (from
-        #: :meth:`~repro.taint.budget.OverheadBudgetController.snapshot`)
-        #: or its ``"k"``/``"k:method+method"`` string spelling — the
-        #: controller resumes at a previous run's converged operating
-        #: point instead of re-paying the shed transient.  Ignored when
-        #: no budget resolves (there is no controller to warm).
-        self.budget_warm_start = budget_warm_start
         #: Optional :class:`~repro.obs.lineage.LineageStore` shared by
         #: every node this agent attaches to; each attach builds a
         #: node-stamped :class:`~repro.obs.lineage.LineageRecorder`
@@ -306,54 +254,19 @@ class DisTAAgent:
             if extension.name in node.jni._extensions:
                 node.jni.patch(extension.name, extension.build(runtime))
         node.taintmap = client
-        self._apply_budget(node, runtime)
+        self._apply_sample_every(node)
         return runtime
 
-    def _apply_budget(self, node, runtime: wrappers.DisTARuntime) -> None:
-        """Wire budgeted tracking onto an attached node.
-
-        A static ``sample_every`` is applied to the source registry
-        whether or not a budget is set.  A budget additionally builds an
-        :class:`~repro.taint.budget.OverheadBudgetController` (with the
-        configured ``sample_every`` as its coverage floor) and attaches
-        it to the runtime; with no budget resolved there is no
-        controller at all, so tracking behaviour is bit-identical to the
-        unbudgeted agent.
-        """
-        registry = getattr(node, "registry", None)
-        if self.sample_every is not None:
-            k = int(self.sample_every)
-            if k < 1:
-                raise InstrumentationError(f"sample_every must be >= 1, got {k}")
-            if registry is not None:
-                registry.sample_every = k
-        budget = resolve_overhead_budget(self.overhead_budget)
-        if budget is None:
+    def _apply_sample_every(self, node) -> None:
+        """Apply the static ``sample_every`` to the node's source registry."""
+        if self.sample_every is None:
             return
-        from repro.obs.profiler import baseline_reference
-        from repro.taint.budget import (
-            BudgetConfig,
-            OverheadBudgetController,
-            parse_budget_warm_start,
-        )
-
-        floor = 1
+        k = int(self.sample_every)
+        if k < 1:
+            raise InstrumentationError(f"sample_every must be >= 1, got {k}")
+        registry = getattr(node, "registry", None)
         if registry is not None:
-            floor = max(1, int(getattr(registry, "sample_every", 1)))
-        config = BudgetConfig(overhead_budget=budget, sample_every=floor)
-        controller = OverheadBudgetController(
-            config,
-            baseline_reference(),
-            registry=registry,
-            metrics=getattr(node, "metrics", None),
-        )
-        try:
-            warm = parse_budget_warm_start(self.budget_warm_start)
-        except ValueError as exc:
-            raise InstrumentationError(str(exc)) from exc
-        if warm is not None:
-            controller.restore(warm)
-        runtime.attach_budget(controller)
+            registry.sample_every = k
 
     def detach(self, node) -> None:
         node.jni.unpatch_all()

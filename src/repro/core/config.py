@@ -43,10 +43,6 @@ class TaintSpec:
     #: Fraction of configured source firings that actually taint — the
     #: tainted-traffic knob of the overhead sweep (1.0 = paper default).
     source_fraction: float = 1.0
-    #: Budgeted tracking: hard overhead ceiling as a ratio over baseline
-    #: (e.g. 1.05).  ``None`` = unlimited: no controller is built and
-    #: tracking behaviour is bit-identical to earlier releases.
-    overhead_budget: "float | None" = None
     #: Flow-sampling period: track every k-th flow admitted at source
     #: registration.  ``None`` leaves the registries' default (1).
     sample_every: "int | None" = None
@@ -72,8 +68,6 @@ class TaintSpec:
             cluster.configure_source_fraction(self.source_fraction)
         if self.sample_every is not None:
             cluster.configure_sample_every(self.sample_every)
-        if self.overhead_budget is not None:
-            cluster.configure_overhead_budget(self.overhead_budget)
 
 
 @dataclass

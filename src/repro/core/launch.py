@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import InstrumentationError
+
 
 @dataclass
 class LaunchScript:
@@ -160,6 +162,26 @@ def hbase_launch() -> LaunchScript:
     )
 
 
+#: Every ``key=value`` extra :func:`launch_cluster` understands; any other
+#: key is rejected rather than silently ignored.
+AGENT_EXTRAS = (
+    "gidCache",
+    "granularity",
+    "gidCacheCapacity",
+    "coalesceWindowUs",
+    "taintMapDeadlineS",
+    "coalesceMaxPending",
+    "coalesceBackpressure",
+    "taintSampleEvery",
+    "lineage",
+    "taintMapMinShards",
+    "taintMapShards",
+    "taintMapMaxShards",
+    "taintMapDurable",
+    "taintMapSnapshotEvery",
+)
+
+
 def launch_cluster(
     mode,
     agent_argument: str = "",
@@ -171,13 +193,21 @@ def launch_cluster(
 
     Parses the ``-javaagent:DisTA.jar=<agent_argument>`` option string
     and the two spec files' contents, returning a ready
-    :class:`~repro.runtime.cluster.Cluster` (not yet started).
+    :class:`~repro.runtime.cluster.Cluster` (not yet started).  An
+    extra outside :data:`AGENT_EXTRAS` raises
+    :class:`~repro.errors.InstrumentationError`.
     """
     from repro.core.config import AgentOptions, TaintSpec, parse_switch
     from repro.runtime.cluster import Cluster
     from repro.runtime.modes import Mode
 
     options = AgentOptions.parse(agent_argument)
+    unknown = sorted(set(options.extras) - set(AGENT_EXTRAS))
+    if unknown:
+        raise InstrumentationError(
+            f"unknown agent option {', '.join(map(repr, unknown))}; accepted: "
+            + ", ".join(("taintSources", "taintSinks", "taintMap") + AGENT_EXTRAS)
+        )
     agent_options = {}
     if options.extras.get("gidCache") == "off":
         agent_options["cache_enabled"] = False
@@ -194,21 +224,8 @@ def launch_cluster(
         agent_options["max_pending"] = int(options.extras["coalesceMaxPending"])
     if "coalesceBackpressure" in options.extras:
         agent_options["backpressure"] = options.extras["coalesceBackpressure"]
-    if "overheadBudget" in options.extras:
-        # overheadBudget=1.05 caps tracking overhead at 5% over baseline;
-        # "unlimited"/"off" keeps full, unbudgeted tracking.
-        from repro.core.agent import parse_overhead_budget
-
-        agent_options["overhead_budget"] = parse_overhead_budget(
-            options.extras["overheadBudget"]
-        )
     if "taintSampleEvery" in options.extras:
         agent_options["sample_every"] = int(options.extras["taintSampleEvery"])
-    if "budgetWarmStart" in options.extras:
-        # budgetWarmStart=k or k:method+method — resume the budget
-        # controller at a previous run's converged operating point
-        # ('+' separates methods because extras split on commas).
-        agent_options["budget_warm_start"] = options.extras["budgetWarmStart"]
     # lineage=on enables flow-lineage capture: the Cluster builds a
     # bounded LineageStore (and a CrossingTrace to stitch from).
     lineage = None

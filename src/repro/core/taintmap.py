@@ -785,7 +785,9 @@ class TaintMapServer:
         self._by_gid: dict[int, bytes] = {}
         self._next_gid = 1
         self._running = False
-        self._connections: list[TcpEndpoint] = []
+        #: Live client connections; each leaves when its ``_serve``
+        #: thread exits, so the set never outgrows the open ones.
+        self._connections: set[TcpEndpoint] = set()
         self.stats = TaintMapStats()
         #: Durability: WAL + snapshot store (None = in-memory only, the
         #: historical behaviour).  Recovery runs *now*, before the
@@ -835,7 +837,7 @@ class TaintMapServer:
             except Exception:
                 return
             with self._lock:
-                self._connections.append(endpoint)
+                self._connections.add(endpoint)
             threading.Thread(
                 target=self._serve, args=(endpoint,), name="taintmap-conn", daemon=True
             ).start()
@@ -871,6 +873,8 @@ class TaintMapServer:
             pass
         finally:
             endpoint.close()
+            with self._lock:
+                self._connections.discard(endpoint)
 
     def _serve_mux(self, endpoint: TcpEndpoint) -> None:
         """Accept loop for one upgraded (multiplexed) connection.

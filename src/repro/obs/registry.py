@@ -551,21 +551,6 @@ def snapshot_total(snapshot: dict, name: str, labels: Optional[dict] = None) -> 
     return float(sum(s["value"] for s in entry["samples"] if _matches(s, labels)))
 
 
-def snapshot_max(snapshot: dict, name: str, labels: Optional[dict] = None):
-    """Maximum value over matching counter/gauge series, or ``None``.
-
-    The per-series complement of :func:`snapshot_total` for gauges whose
-    per-node series must not be summed (e.g. each node's
-    ``dista_budget_overhead_ratio`` — a cluster's worst-case controller
-    estimate is the max, not the sum, across nodes).
-    """
-    entry = snapshot.get(name)
-    if entry is None or entry["type"] == HISTOGRAM:
-        return None
-    values = [s["value"] for s in entry["samples"] if _matches(s, labels)]
-    return max(values) if values else None
-
-
 def snapshot_quantile(
     snapshot: dict, name: str, q: float, labels: Optional[dict] = None
 ) -> Optional[float]:

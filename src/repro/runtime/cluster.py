@@ -39,10 +39,8 @@ class Cluster:
         taint_map_shards: int = 1,
         coalesce_window_us: Optional[float] = None,
         request_deadline_s: Optional[float] = None,
-        overhead_budget: Optional[float] = None,
         taint_sample_every: Optional[int] = None,
         taint_map_max_shards: Optional[int] = None,
-        budget_warm_start=None,
         lineage=None,
         taint_map_durable: bool = False,
         taint_map_snapshot_every: Optional[int] = None,
@@ -75,17 +73,9 @@ class Cluster:
         #: Taint Map per-request deadline (s); 0 disables it.
         if request_deadline_s is not None:
             self.agent_options.setdefault("request_deadline_s", request_deadline_s)
-        #: Budgeted tracking: overhead ceiling and flow-sampling period.
-        if overhead_budget is not None:
-            self.agent_options.setdefault("overhead_budget", overhead_budget)
+        #: Flow-sampling period: track every k-th flow at registration.
         if taint_sample_every is not None:
             self.agent_options.setdefault("sample_every", taint_sample_every)
-        #: Warm start for budgeted tracking: a controller snapshot (or
-        #: its string spelling) each attached agent restores, so a
-        #: redeployed cluster resumes at the previously converged shed
-        #: level instead of re-paying the breach transient.
-        if budget_warm_start is not None:
-            self.agent_options.setdefault("budget_warm_start", budget_warm_start)
         #: Number of Taint Map shards (shard i at TAINT_MAP_PORT + i).
         #: The default single shard is byte-identical to the unsharded
         #: deployment.
@@ -171,8 +161,7 @@ class Cluster:
         """Flow-sampling period: track every k-th flow at registration.
 
         Applies to existing node registries and becomes the default for
-        nodes added later; with a budget set it is also the controller's
-        coverage floor (agents attach after this runs at spec-apply
+        nodes added later (agents attach after this runs at spec-apply
         time, or pick it up via ``agent_options``).
         """
         k = int(sample_every)
@@ -182,19 +171,6 @@ class Cluster:
         self.agent_options["sample_every"] = k
         for node in self.nodes.values():
             node.registry.sample_every = k
-
-    def configure_overhead_budget(self, budget) -> None:
-        """Overhead ceiling for budgeted tracking (ratio over baseline).
-
-        Must be called before :meth:`start` — the controller is built at
-        agent-attach time.  Accepts a float >= 1.0 or the string forms
-        understood by ``DISTA_OVERHEAD_BUDGET`` ("unlimited"/"off").
-        """
-        if self._started:
-            raise ReproError("configure_overhead_budget before cluster start")
-        from repro.core.agent import parse_overhead_budget
-
-        self.agent_options["overhead_budget"] = parse_overhead_budget(budget)
 
     # -- lifecycle ------------------------------------------------------------ #
 

@@ -74,22 +74,19 @@ class WorkloadResult:
 
 def sim_spec(
     source_fraction: float = 1.0,
-    overhead_budget: Optional[float] = None,
     sample_every: Optional[int] = None,
 ) -> TaintSpec:
     """The uniform SIM scenario of Table IV: file reads → LOG.info.
 
     ``source_fraction`` gates what fraction of the file-read sources
     actually taint — the knob the tainted-fraction overhead sweep turns.
-    ``overhead_budget`` / ``sample_every`` are the budgeted-tracking
-    knobs (overhead ceiling and flow-sampling period); both default to
-    off, i.e. full, unbudgeted tracking.
+    ``sample_every`` is the static flow-sampling period; it defaults
+    to off, i.e. full tracking.
     """
     return TaintSpec(
         sources=[FILE_READ_DESCRIPTOR],
         sinks=[LOG_INFO_DESCRIPTOR],
         source_fraction=source_fraction,
-        overhead_budget=overhead_budget,
         sample_every=sample_every,
     )
 

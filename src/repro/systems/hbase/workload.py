@@ -45,10 +45,9 @@ def sdt_spec() -> TaintSpec:
 
 def sim_spec(
     source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
     sample_every: int | None = None,
 ) -> TaintSpec:
-    return common.sim_spec(source_fraction, overhead_budget, sample_every)
+    return common.sim_spec(source_fraction, sample_every)
 
 
 def _boot_zookeeper(cluster: Cluster, nodes: list, timeout: float = 30.0):
@@ -131,7 +130,6 @@ def run_workload(
     mode: Mode,
     scenario: str | None = None,
     source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
     sample_every: int | None = None,
     lineage: bool = False,
 ) -> WorkloadResult:
@@ -139,7 +137,7 @@ def run_workload(
     if scenario == SDT:
         spec = sdt_spec()
     elif scenario == SIM:
-        spec = sim_spec(source_fraction, overhead_budget, sample_every)
+        spec = sim_spec(source_fraction, sample_every)
     return run_system_workload(
         "HBase+ZooKeeper", mode, scenario, spec, deploy_and_get, lineage=lineage
     )

@@ -46,10 +46,9 @@ def sdt_spec() -> TaintSpec:
 
 def sim_spec(
     source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
     sample_every: int | None = None,
 ) -> TaintSpec:
-    return common.sim_spec(source_fraction, overhead_budget, sample_every)
+    return common.sim_spec(source_fraction, sample_every)
 
 
 def deploy_and_run_pi(cluster: Cluster, maps: int = 4, samples: int = 2000) -> dict:
@@ -104,7 +103,6 @@ def run_workload(
     mode: Mode,
     scenario: str | None = None,
     source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
     sample_every: int | None = None,
     lineage: bool = False,
 ) -> WorkloadResult:
@@ -112,7 +110,7 @@ def run_workload(
     if scenario == SDT:
         spec = sdt_spec()
     elif scenario == SIM:
-        spec = sim_spec(source_fraction, overhead_budget, sample_every)
+        spec = sim_spec(source_fraction, sample_every)
     return run_system_workload(
         "MapReduce/Yarn", mode, scenario, spec, deploy_and_run_pi, lineage=lineage
     )

@@ -42,10 +42,9 @@ def sdt_spec() -> TaintSpec:
 
 def sim_spec(
     source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
     sample_every: int | None = None,
 ) -> TaintSpec:
-    return common.sim_spec(source_fraction, overhead_budget, sample_every)
+    return common.sim_spec(source_fraction, sample_every)
 
 
 def deploy_and_distribute(cluster: Cluster, message_length: int = MESSAGE_LENGTH) -> dict:
@@ -96,7 +95,6 @@ def run_workload(
     mode: Mode,
     scenario: str | None = None,
     source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
     sample_every: int | None = None,
     lineage: bool = False,
 ) -> WorkloadResult:
@@ -104,7 +102,7 @@ def run_workload(
     if scenario == SDT:
         spec = sdt_spec()
     elif scenario == SIM:
-        spec = sim_spec(source_fraction, overhead_budget, sample_every)
+        spec = sim_spec(source_fraction, sample_every)
     return run_system_workload(
         "RocketMQ", mode, scenario, spec, deploy_and_distribute, lineage=lineage
     )

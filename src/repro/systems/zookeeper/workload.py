@@ -48,10 +48,9 @@ def sdt_spec() -> TaintSpec:
 
 def sim_spec(
     source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
     sample_every: int | None = None,
 ) -> TaintSpec:
-    return common.sim_spec(source_fraction, overhead_budget, sample_every)
+    return common.sim_spec(source_fraction, sample_every)
 
 
 #: Leader→learner synchronization port (ZooKeeper's quorum port 2888).
@@ -152,7 +151,6 @@ def run_workload(
     mode: Mode,
     scenario: str | None = None,
     source_fraction: float = 1.0,
-    overhead_budget: float | None = None,
     sample_every: int | None = None,
     lineage: bool = False,
 ) -> WorkloadResult:
@@ -161,7 +159,7 @@ def run_workload(
     if scenario == SDT:
         spec = sdt_spec()
     elif scenario == SIM:
-        spec = sim_spec(source_fraction, overhead_budget, sample_every)
+        spec = sim_spec(source_fraction, sample_every)
     return run_system_workload(
         "ZooKeeper", mode, scenario, spec, deploy_and_elect, lineage=lineage
     )

@@ -64,11 +64,9 @@ class SourceSinkRegistry:
     #: value (the tainted-traffic knob of the overhead sweep).  1.0 is
     #: the paper's behaviour: every firing taints.
     source_fraction: float = 1.0
-    #: Budgeted tracking's flow-sampling period: admit (taint) every
-    #: ``k``-th matching source firing, counted deterministically per
-    #: registry.  1 admits every flow (the paper's behaviour); the
-    #: overhead-budget controller (:mod:`repro.taint.budget`) adapts
-    #: this attribute at runtime.  A sampled-out flow's value is
+    #: Flow-sampling period: admit (taint) every ``k``-th matching
+    #: source firing, counted deterministically per registry.  1 admits
+    #: every flow (the paper's behaviour).  A sampled-out flow's value is
     #: returned untainted, so it dispatches through the zero-taint fast
     #: path everywhere downstream — never touching the resolver or the
     #: Taint Map — and its wire frames are byte-identical to untainted
@@ -122,7 +120,7 @@ class SourceSinkRegistry:
         1.0 always does, and reruns are reproducible.
 
         ``sample_every`` = k > 1 additionally admits only every k-th
-        matching firing (budgeted tracking's flow sampling).  Admission
+        matching firing (static flow sampling).  Admission
         is a plain per-registry counter — independent of timing, Taint
         Map transport and thread scheduling — so the same workload
         admits the identical flow set on every run.

@@ -1,29 +1,16 @@
-"""Budgeted-tracking plumbing: knobs, no-op equivalence, gate flips.
+"""Static flow-sampling plumbing and determinism.
 
-The overhead budget and flow-sampling period travel four routes into a
-node: ``TaintSpec`` fields, ``Cluster`` constructor arguments, launch
-extras (``overheadBudget=`` / ``taintSampleEvery=``) and the
-``DISTA_OVERHEAD_BUDGET`` environment variable.  These tests pin each
-route, plus the two behavioural contracts the benchmark leans on:
-
-* **unlimited is a no-op** — without a budget no controller exists and
-  taint results are identical to plain tracking (and a controller with
-  astronomical headroom never actuates);
-* **sampling is deterministic** — the same workload admits the same
-  flow set whether Taint Map requests coalesce or go out one by one;
-* **a flipped gate strips labels end to end** — data sent through a
-  gated method arrives untainted (the receiver rides the zero-taint
-  fast path), while the bytes themselves are untouched.
+The flow-sampling period travels three routes into a node: the
+``TaintSpec.sample_every`` field, the ``Cluster(taint_sample_every=)``
+argument and the ``taintSampleEvery=`` launch extra.  These tests pin
+each route, plus the behavioural contract the benchmark leans on:
+**sampling is deterministic** — the same workload admits the same flow
+set whether Taint Map requests coalesce or go out one by one, and
+sampled-out flows reach the sink untainted, not missing.
 """
 
 import pytest
 
-from repro.core.agent import (
-    OVERHEAD_BUDGET_ENV,
-    DisTAAgent,
-    parse_overhead_budget,
-    resolve_overhead_budget,
-)
 from repro.core.config import TaintSpec
 from repro.core.launch import launch_cluster
 from repro.errors import InstrumentationError, ReproError
@@ -32,72 +19,30 @@ from repro.runtime.cluster import Cluster
 from repro.runtime.fs import FILE_READ_DESCRIPTOR
 from repro.runtime.logger import LOG_INFO_DESCRIPTOR
 from repro.runtime.modes import Mode
-from repro.taint.values import TBytes
-
-
-class TestBudgetParsing:
-    def test_none_is_unlimited(self):
-        assert parse_overhead_budget(None) is None
-
-    @pytest.mark.parametrize("spelling", ["unlimited", "off", "none", "", " OFF "])
-    def test_unlimited_spellings(self, spelling):
-        assert parse_overhead_budget(spelling) is None
-
-    def test_zero_and_negative_disable(self):
-        assert parse_overhead_budget(0) is None
-        assert parse_overhead_budget("-1") is None
-
-    def test_numeric_spellings(self):
-        assert parse_overhead_budget("1.05") == 1.05
-        assert parse_overhead_budget(1.2) == 1.2
-
-    def test_sub_one_ratio_rejected(self):
-        with pytest.raises(InstrumentationError, match="ratio over baseline"):
-            parse_overhead_budget(0.5)
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(OVERHEAD_BUDGET_ENV, "1.07")
-        assert resolve_overhead_budget() == 1.07
-        # An explicit argument wins over the environment.
-        assert resolve_overhead_budget(1.2) == 1.2
-        monkeypatch.setenv(OVERHEAD_BUDGET_ENV, "unlimited")
-        assert resolve_overhead_budget() is None
-        monkeypatch.delenv(OVERHEAD_BUDGET_ENV)
-        assert resolve_overhead_budget() is None
 
 
 class TestKnobPlumbing:
-    def test_taint_spec_carries_budget_knobs(self):
+    def test_taint_spec_carries_sample_every(self):
         cluster = Cluster(Mode.DISTA)
         spec = TaintSpec(
             sources=[FILE_READ_DESCRIPTOR],
             sinks=[LOG_INFO_DESCRIPTOR],
-            overhead_budget=1.2,
             sample_every=4,
         )
         spec.apply(cluster)
-        assert cluster.agent_options["overhead_budget"] == 1.2
         assert cluster.agent_options["sample_every"] == 4
         # Nodes added later inherit the sampling period.
         node = cluster.add_node("n1")
         assert node.registry.sample_every == 4
 
     def test_cluster_constructor_knobs(self):
-        cluster = Cluster(Mode.DISTA, overhead_budget=1.1, taint_sample_every=2)
-        assert cluster.agent_options["overhead_budget"] == 1.1
+        cluster = Cluster(Mode.DISTA, taint_sample_every=2)
         assert cluster.agent_options["sample_every"] == 2
         assert cluster.add_node("n1").registry.sample_every == 2
 
     def test_launch_extras(self):
-        cluster = launch_cluster(
-            Mode.DISTA, "overheadBudget=1.08,taintSampleEvery=3"
-        )
-        assert cluster.agent_options["overhead_budget"] == 1.08
+        cluster = launch_cluster(Mode.DISTA, "taintSampleEvery=3")
         assert cluster.agent_options["sample_every"] == 3
-
-    def test_launch_extras_unlimited(self):
-        cluster = launch_cluster(Mode.DISTA, "overheadBudget=unlimited")
-        assert cluster.agent_options["overhead_budget"] is None
 
     def test_configure_sample_every_rewrites_existing_nodes(self):
         cluster = Cluster(Mode.DISTA)
@@ -106,13 +51,6 @@ class TestKnobPlumbing:
         assert node.registry.sample_every == 5
         with pytest.raises(ReproError):
             cluster.configure_sample_every(0)
-
-    def test_configure_overhead_budget_after_start_raises(self):
-        cluster = Cluster(Mode.DISTA)
-        cluster.add_node("n1")
-        with cluster:
-            with pytest.raises(ReproError, match="before cluster start"):
-                cluster.configure_overhead_budget(1.05)
 
     def test_agent_rejects_bad_sample_every(self):
         cluster = Cluster(Mode.DISTA, taint_sample_every=0)
@@ -128,21 +66,20 @@ FILES = 12
 PAYLOAD = 8
 
 
-def run_transfer(coalesce_window_us=None, sample_every=None, overhead_budget=None):
+def run_transfer(coalesce_window_us=None, sample_every=None, agent_argument=None):
     """A deterministic mini workload: n1 reads FILES files (each read a
     SIM source), streams each over TCP to n2, which logs it (the sink).
-    Returns what the taint layer saw."""
-    kwargs = {}
-    if sample_every is not None:
-        kwargs["taint_sample_every"] = sample_every
-    if overhead_budget is not None:
-        kwargs["overhead_budget"] = overhead_budget
-    cluster = Cluster(
-        Mode.DISTA,
-        name="budget-transfer",
-        coalesce_window_us=coalesce_window_us,
-        **kwargs,
-    )
+    ``agent_argument`` builds the cluster through :func:`launch_cluster`
+    instead.  Returns what the taint layer saw."""
+    if agent_argument is not None:
+        cluster = launch_cluster(Mode.DISTA, agent_argument, name="sampling-transfer")
+    else:
+        cluster = Cluster(
+            Mode.DISTA,
+            name="sampling-transfer",
+            coalesce_window_us=coalesce_window_us,
+            taint_sample_every=sample_every,
+        )
     cluster.configure_sources([FILE_READ_DESCRIPTOR])
     cluster.configure_sinks([LOG_INFO_DESCRIPTOR])
     n1 = cluster.add_node("n1")
@@ -202,103 +139,8 @@ class TestSamplingDeterminism:
         assert result["tainted_observations"] == 3
         assert len(result["observed_tags"]) == 3
 
-
-class TestUnlimitedBudgetIsANoOp:
-    def test_unlimited_env_matches_plain_run(self, monkeypatch):
-        plain = run_transfer()
-        monkeypatch.setenv(OVERHEAD_BUDGET_ENV, "unlimited")
-        unlimited = run_transfer()
-        assert unlimited == plain
-
-    def test_vast_headroom_controller_never_actuates(self):
-        """Even with a controller attached, a budget it can never breach
-        leaves every taint observation identical to the plain run."""
-        plain = run_transfer()
-        budgeted = run_transfer(overhead_budget=1e9)
-        assert budgeted == plain
-
-
-class TestGateFlip:
-    def test_gated_send_method_strips_labels_end_to_end(self):
-        cluster = Cluster(Mode.DISTA, overhead_budget=1.05)
-        n1 = cluster.add_node("n1")
-        n2 = cluster.add_node("n2")
-        with cluster:
-            # Re-attach by hand to hold the runtime (the cluster's own
-            # attach discards it); the controller rides the runtime.
-            agent = DisTAAgent(cluster.taint_map_addresses, overhead_budget=1.05)
-            agent.detach(n1)
-            runtime = agent.attach(n1)
-            controller = runtime._budget
-            assert controller is not None
-
-            # Synthetic load: an absurd tracking surcharge on a pure
-            # send workload forces sampling to its ceiling and then a
-            # gate flip on the only traffic-bearing method.
-            for _ in range(8):
-                if controller.is_gated("socketWrite0"):
-                    break
-                controller.add_tracking_seconds(10.0)
-                controller.account_io("socketWrite0", "send", 4096, 0)
-                controller.tick()
-            assert controller.is_gated("socketWrite0")
-
-            server = ServerSocket(n2, 9200)
-            client = Socket.connect(n1, ("10.0.0.2", 9200))
-            conn = server.accept()
-            taint = n1.tree.taint_for_tag("secret")
-            client.get_output_stream().write(TBytes.tainted(b"payload", taint))
-            received = conn.get_input_stream().read_fully(7)
-            # Bytes intact, labels stripped at the gate: the receiver
-            # sees plain untainted traffic.
-            assert received == b"payload"
-            assert received.overall_taint() is None
-
-
-class TestWarmStartPlumbing:
-    """budget_warm_start travels the same routes as the budget itself:
-    Cluster kwarg, launch extras, and into the controller at attach."""
-
-    def test_cluster_kwarg(self):
-        cluster = Cluster(
-            Mode.DISTA, overhead_budget=1.05, budget_warm_start="4"
-        )
-        assert cluster.agent_options["budget_warm_start"] == "4"
-
-    def test_launch_extra(self):
-        cluster = launch_cluster(
-            Mode.DISTA, "overheadBudget=1.05,budgetWarmStart=4:socketWrite0"
-        )
-        assert cluster.agent_options["budget_warm_start"] == "4:socketWrite0"
-
-    def test_agent_restores_controller_at_attach(self):
-        cluster = Cluster(Mode.DISTA)
-        n1 = cluster.add_node("n1")
-        with cluster:
-            agent = DisTAAgent(
-                cluster.taint_map_addresses,
-                overhead_budget=1.05,
-                budget_warm_start="4:socketWrite0+datagram.send",
-            )
-            agent.detach(n1)
-            runtime = agent.attach(n1)
-            controller = runtime._budget
-            assert controller.sample_every == 4
-            assert controller.gated_methods == ("socketWrite0", "datagram.send")
-            assert n1.registry.sample_every == 4
-
-    def test_warm_start_without_budget_is_ignored(self):
-        """No budget → no controller → nothing to warm; must not raise."""
-        cluster = Cluster(Mode.DISTA, budget_warm_start="4")
-        cluster.add_node("n1")
-        with cluster:
-            pass
-
-    def test_bad_warm_start_surfaces_at_attach(self):
-        cluster = Cluster(
-            Mode.DISTA, overhead_budget=1.05, budget_warm_start="nope"
-        )
-        cluster.add_node("n1")
-        with pytest.raises(InstrumentationError):
-            cluster.start()
-        cluster.shutdown()
+    def test_launch_extra_admits_every_fourth_firing(self):
+        result = run_transfer(agent_argument="taintSampleEvery=4")
+        assert result["tainted_indices"] == [0, 4, 8]
+        assert result["admitted"] == 3
+        assert result["sampled_out"] == 9

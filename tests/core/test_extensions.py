@@ -136,9 +136,8 @@ class TestCustomTransportTracking:
 
 
 class CountingResolver(wire.LabelResolver):
-    """Wraps a runtime's resolver and counts calls per direction — the
-    stand-in for the timed facade ``DisTARuntime.attach_budget``
-    installs."""
+    """Wraps a runtime's resolver and counts calls per direction, the
+    way any facade swapped into ``DisTARuntime.resolver`` sees them."""
 
     def __init__(self, base: wire.LabelResolver):
         self.calls = {"encode": 0, "decode": 0}
@@ -161,8 +160,8 @@ class CountingResolver(wire.LabelResolver):
 class TestResolverRouting:
     def test_extension_wrappers_resolve_through_runtime_resolver(self, custom_cluster):
         """Extension wrappers must go through ``runtime.resolver`` like the
-        built-in ones, so a budget's timed facade sees their registration
-        and lookup cost."""
+        built-in ones, so a resolver swapped into the runtime sees their
+        registration and lookup calls."""
         cluster, n1, n2 = custom_cluster
         agent = DisTAAgent(cluster.taint_map_addresses, extensions=EXTENSIONS)
         resolvers = {}
@@ -178,11 +177,11 @@ class TestResolverRouting:
         listener = n1.kernel.listen(n2.ip, 7903)
         client_fd = n1.kernel.connect(n1.ip, (n2.ip, 7903))
         server_fd = listener.accept()
-        taint = n1.tree.taint_for_tag("budgeted")
+        taint = n1.tree.taint_for_tag("routed")
         n1.jni.rdma_send0(client_fd, TBytes.tainted(b"metered", taint))
         buf = TByteArray(7)
         assert n2.jni.rdma_recv0(server_fd, buf, 0, 7) == 7
-        assert {t.tag for t in buf.read(0, 7).overall_taint().tags} == {"budgeted"}
+        assert {t.tag for t in buf.read(0, 7).overall_taint().tags} == {"routed"}
         assert resolvers["n1"].calls["encode"] == 1
         assert resolvers["n2"].calls["decode"] == 1
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.launch import launch_cluster
+from repro.core.launch import AGENT_EXTRAS, launch_cluster
+from repro.errors import InstrumentationError
 from repro.jre import ServerSocket, Socket
 from repro.report import (
     flows_from_cluster,
@@ -42,6 +43,22 @@ class TestLaunchCluster:
             "cache_enabled": False,
             "byte_granularity": False,
         }
+
+    @pytest.mark.parametrize(
+        "argument, key",
+        [
+            ("overheadBudget=1.05", "overheadBudget"),
+            ("taintMapAsync=true", "taintMapAsync"),
+            ("taintSampleEvery=4,overheadBudgte=1.05", "overheadBudgte"),
+        ],
+    )
+    def test_unknown_extra_rejected(self, argument, key):
+        with pytest.raises(InstrumentationError) as caught:
+            launch_cluster(Mode.DISTA, argument)
+        message = str(caught.value)
+        assert repr(key) in message
+        for accepted in AGENT_EXTRAS:
+            assert accepted in message
 
     def test_original_mode_skips_specs(self):
         cluster = launch_cluster(Mode.ORIGINAL, "", SOURCES_SPEC, SINKS_SPEC)

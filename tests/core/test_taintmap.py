@@ -189,6 +189,22 @@ class TestTaintMapService:
         assert gids[0] == gids[1]
         assert server.global_taint_count() == 16
 
+    def test_closed_connections_leave_the_server(self, service):
+        """A long-lived shard keeps no endpoint for a client that closed:
+        each connection leaves the server's set when its thread exits."""
+        server, n1, _, _, _ = service
+        before = set(threading.enumerate())
+        for index in range(50):
+            client = TaintMapClient(n1, server.address)
+            assert client.gid_for(n1.tree.taint_for_tag(f"once{index}")) > 0
+            client.close()
+        for thread in set(threading.enumerate()) - before:
+            if thread.name == "taintmap-conn":
+                thread.join(10)
+                assert not thread.is_alive()
+        assert server.stats.snapshot()["register_requests"] == 50
+        assert len(server._connections) == 0
+
 
 class TestLockFreeCacheHits:
     """The unbounded caches answer hits with no lock; the hit and miss

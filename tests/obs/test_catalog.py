@@ -16,14 +16,10 @@ from tests.obs import COALESCE_WINDOWS
 
 CATALOG = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 
-#: Families that exist only when their feature is switched on: the
-#: overhead-budget controller, flow lineage and the crossing trace.
+#: Families that exist only when their feature is switched on: flow
+#: lineage and the crossing trace.
 FEATURE_GATED = frozenset(
     {
-        "dista_budget_coverage",
-        "dista_budget_overhead_ratio",
-        "dista_budget_sheds_total",
-        "dista_budget_steady_overhead_ratio",
         "dista_lineage_flows_completed_total",
         "dista_lineage_flows_evicted_total",
         "dista_lineage_flows_open",

@@ -227,29 +227,6 @@ class TestExplicitPartialTrees:
         assert stub.root.descriptor == SOURCE_DESCRIPTOR
         assert f"[{SAMPLED_OUT}]" in stub.render()
 
-    def test_gated_send_leaves_an_explicit_cut(self):
-        cluster = Cluster(Mode.PHOSPHOR)
-        node = cluster.add_node("n1")
-        with cluster:
-            taint = node.tree.taint_for_tag("gated-tag")
-            data = TBytes.tainted(b"secret", taint)
-            store = LineageStore()
-            recorder = LineageRecorder(store, "n1")
-            recorder.gated_event("java.net.SocketOutputStream#write", data)
-        flow = store.hops("gated-tag")
-        assert flow is not None
-        assert [c.method for c in flow.gated] == [
-            "java.net.SocketOutputStream#write"
-        ]
-        assert flow.partial
-        assert "✗ gated send" in flow.render()
-
-    def test_gated_event_ignores_untainted_payloads(self):
-        store = LineageStore()
-        recorder = LineageRecorder(store, "n1")
-        recorder.gated_event("m", TBytes.raw(b"plain"))
-        assert store.flows() == []
-
     def test_uncorrelated_receive_attaches_under_root(self):
         store = LineageStore()
         tag = TaintTag("stray", 1)
@@ -413,4 +390,3 @@ class TestRecorderParity:
         assert null.source_event("d", object()) is None
         assert null.sampled_out_event("d") is None
         assert null.sink_event("d", [object()]) is None
-        assert null.gated_event("m", object()) is None

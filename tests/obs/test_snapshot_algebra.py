@@ -1,12 +1,10 @@
-"""Snapshot algebra: reset, deltas, per-series max (the metric-bleed fix).
+"""Snapshot algebra: reset and deltas (the metric-bleed fix).
 
 A workload's telemetry must describe *that workload*, not whatever the
 registry accumulated during setup or earlier runs on the same process.
 The profiler isolates runs with ``diff_snapshots(after, before)``;
 ``MetricsRegistry.reset`` zeroes families in place without invalidating
-hot-path handles; ``snapshot_max`` reads per-node gauges that must never
-be summed (a cluster's worst-case controller ratio is the max across
-nodes, not the total).
+hot-path handles.
 """
 
 import pytest
@@ -17,7 +15,6 @@ from repro.obs.registry import (
     diff_snapshots,
     merge_snapshots,
     render_exposition,
-    snapshot_max,
     snapshot_quantile,
     snapshot_total,
 )
@@ -113,26 +110,6 @@ class TestDiffSnapshots:
         b.counter("m", "").inc()
         with pytest.raises(TelemetryError):
             diff_snapshots(b.snapshot(), a.snapshot())
-
-
-class TestSnapshotMax:
-    def test_max_over_per_node_series(self):
-        merged: dict = {}
-        for node, value in (("n1", 1.0), ("n2", 1.3), ("n3", 1.1)):
-            registry = MetricsRegistry({"node": node})
-            registry.gauge("ratio", "").set(value)
-            for name, entry in registry.snapshot().items():
-                merged.setdefault(name, {"type": entry["type"], "samples": []})[
-                    "samples"
-                ].extend(entry["samples"])
-        assert snapshot_max(merged, "ratio") == 1.3
-        assert snapshot_max(merged, "ratio", {"node": "n2"}) == 1.3
-        assert snapshot_max(merged, "ratio", {"node": "n1"}) == 1.0
-
-    def test_absent_metric_is_none_not_zero(self):
-        # The sweep distinguishes "controller absent" (unlimited leg)
-        # from "controller reporting 0"; snapshot_total cannot.
-        assert snapshot_max({}, "ratio") is None
 
 
 def _node_registry(node, latencies, route_counts):

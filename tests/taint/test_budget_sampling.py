@@ -1,4 +1,4 @@
-"""Flow sampling at source registration (budgeted tracking).
+"""Static flow sampling at source registration.
 
 ``sample_every`` = k admits every k-th matching source firing through a
 plain per-registry counter — no clocks, no randomness — so the admitted
